@@ -14,8 +14,7 @@ from .errors import KcgError
 from .foxmilnor import (RequiredFactors, enhanced_required_factors,
                         gc_poly_lower_bound, residual, slice_obstruction)
 from .laurent import (Factorization, LaurentPoly, canonicalize, eval_int,
-                      factor, is_symmetric, mul, poly_from_text, poly_to_text,
-                      reciprocal)
+                      factor, is_symmetric, mul, poly_from_text, reciprocal)
 from .seifert import (SeifertMatrix, SignatureProfile, alexander,
                       lt_signature, murasugi_signature, signature_profile,
                       unit_circle_root_angles)
@@ -31,7 +30,7 @@ __all__ = [
     "enhanced_required_factors", "eval_int", "factor", "gc_bounds",
     "gc_poly_lower_bound", "is_symmetric", "lt_signature", "match_candidates",
     "mul", "murasugi_signature", "parse_table", "poly_from_text",
-    "poly_to_text", "reciprocal", "reference_table", "report_tsv",
+    "reciprocal", "reference_table", "report_tsv",
     "residual", "serialize", "signature_profile", "slice_obstruction",
     "unit_circle_root_angles",
 ]

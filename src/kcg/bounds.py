@@ -117,6 +117,46 @@ def combine(genus4_lo: int, signature: int, poly_bound: int, genus3: int,
     return GcBounds(lower, genus3, tuple(contributors), status)
 
 
+@dataclass(frozen=True)
+class Analysis:
+    required: foxmilnor.RequiredFactors | None  # None for slice records
+    bounds: GcBounds
+    category: str
+
+
+def analyze(k: KnotRecord, fac: laurent.Factorization | None,
+            genus_of=None) -> Analysis:
+    """Interval and category of ``k`` from ``fac``, its factorization (None
+    is fine for slice records), computing the profile and residual once."""
+    if k.slice_status == SLICE:
+        return Analysis(None, combine(0, 0, 0, k.genus3, SLICE), CATEGORY_SLICE)
+    profile = seifert.signature_profile(k.seifert) if k.seifert is not None else None
+    req = foxmilnor.enhanced_required_factors(fac, profile)
+    bounds = combine(k.genus4[0], k.signature, foxmilnor.gc_poly_lower_bound(req),
+                     k.genus3, jump_enhanced=req.enhanced != req.residual)
+    return Analysis(req, bounds, _polynomial_category(k, fac, lambda: req.residual)
+                    or _interval_category(k, bounds, genus_of))
+
+
+def _polynomial_category(k: KnotRecord, fac, residual) -> str | None:
+    """The rules that need no profile; ``residual()`` runs only for the second."""
+    if k.alexander.degree // 2 == k.genus3:
+        if fac.irreducible:
+            return CATEGORY_IRREDUCIBLE_POLY
+        if sum(m for _, m in fac.factors) >= 2 and residual() == k.alexander:
+            return CATEGORY_NO_SYMMETRIC_PAIR
+    return None
+
+
+def _interval_category(k: KnotRecord, bounds: GcBounds, genus_of) -> str:
+    if bounds.status == DETERMINED:
+        return CATEGORY_SIGNATURE_OR_G4
+    known = genus_of is not None and all(n in genus_of for n in k.concordant_to)
+    if k.concordant_to and known and sum(genus_of[n] for n in k.concordant_to) < k.genus3:
+        return CATEGORY_CONCORDANT
+    return CATEGORY_UNKNOWN
+
+
 def gc_bounds(k: KnotRecord) -> GcBounds:
     """Concordance-genus interval for a knot record.
 
@@ -125,14 +165,8 @@ def gc_bounds(k: KnotRecord) -> GcBounds:
     signature jumps when a Seifert matrix is available); the upper bound
     is the genus.
     """
-    if k.slice_status == SLICE:
-        return combine(0, 0, 0, k.genus3, SLICE)
-    fac = laurent.factor(k.alexander)
-    profile = seifert.signature_profile(k.seifert) if k.seifert is not None else None
-    req = foxmilnor.enhanced_required_factors(fac, profile)
-    return combine(k.genus4[0], k.signature, foxmilnor.gc_poly_lower_bound(req),
-                   k.genus3, k.slice_status,
-                   jump_enhanced=req.enhanced != req.residual)
+    fac = None if k.slice_status == SLICE else laurent.factor(k.alexander)
+    return analyze(k, fac).bounds
 
 
 def classify(k: KnotRecord, genus_of=None) -> str:
@@ -148,20 +182,6 @@ def classify(k: KnotRecord, genus_of=None) -> str:
     if k.slice_status == SLICE:
         return CATEGORY_SLICE
     fac = laurent.factor(k.alexander)
-    half_degree = k.alexander.degree // 2
-    if fac.irreducible and half_degree == k.genus3:
-        return CATEGORY_IRREDUCIBLE_POLY
-    pieces = sum(m for _, m in fac.factors)
-    if (pieces >= 2 and foxmilnor.residual(fac) == k.alexander
-            and half_degree == k.genus3):
-        return CATEGORY_NO_SYMMETRIC_PAIR
-    if gc_bounds(k).status == DETERMINED:
-        return CATEGORY_SIGNATURE_OR_G4
-    if k.concordant_to and genus_of is not None:
-        try:
-            total = sum(genus_of[name] for name in k.concordant_to)
-        except KeyError:
-            total = None
-        if total is not None and total < k.genus3:
-            return CATEGORY_CONCORDANT
-    return CATEGORY_UNKNOWN
+    # the polynomial rules come first: the signature profile may be refused
+    return (_polynomial_category(k, fac, lambda: foxmilnor.residual(fac))
+            or analyze(k, fac, genus_of).category)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .bounds import CATEGORIES, gc_bounds
 from .errors import KcgError
-from .laurent import factor, poly_from_text, poly_to_text
+from .laurent import factor, poly_from_text
 from .seifert import SeifertMatrix, alexander, murasugi_signature, signature_profile
 from .tabledata import KnotTable, census, match_candidates, parse_table, report_tsv
 
@@ -46,13 +46,13 @@ def _cmd_factor(args) -> int:
     if not fac.factors:
         print("1")
     else:
-        print(" * ".join(f"({poly_to_text(q)})^{m}" for q, m in fac.factors))
+        print(" * ".join(f"({q.to_text()})^{m}" for q, m in fac.factors))
     return 0
 
 
 def _cmd_invariants(args) -> int:
     matrix = SeifertMatrix.from_text(args.seifert)
-    print(f"alexander\t{poly_to_text(alexander(matrix))}")
+    print(f"alexander\t{alexander(matrix).to_text()}")
     print(f"signature\t{murasugi_signature(matrix)}")
     for angle, jump, averaged in signature_profile(matrix).jump_points:
         print(f"jump\t{angle:.9f}\t{jump}\t{averaged}")
@@ -70,8 +70,7 @@ def _cmd_bound(args) -> int:
 def _cmd_census(args) -> int:
     table = _read_table(args.table)
     candidates = _read_table(args.candidates) if args.candidates else None
-    report = census(table, candidates, max_summands=args.max_summands,
-                    jobs=args.jobs)
+    report = census(table, candidates, max_summands=args.max_summands)
     if args.report:
         Path(args.report).write_text(report_tsv(report), encoding="utf-8")
     for category in CATEGORIES:
@@ -86,7 +85,7 @@ def _cmd_match(args) -> int:
     rec = _find_record(table, args.name)
     for m in match_candidates(rec, candidates, args.max_summands):
         print(f"{m.expression}\t{m.combined_genus3}\t{m.combined_crossings}"
-              f"\t{poly_to_text(m.combined_alexander)}")
+              f"\t{m.combined_alexander.to_text()}")
     return 0
 
 
@@ -117,8 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write the per-knot TSV report here")
     p.add_argument("--candidates", help="candidate table for unknown rows")
     p.add_argument("--max-summands", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel per-knot evaluation (default 1)")
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("match", help="candidate concordances for one knot")

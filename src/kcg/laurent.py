@@ -3,7 +3,7 @@ factorization into irreducibles over the integers.
 
 Knot polynomials are only defined up to a unit +-t^k, so equality has to
 be read modulo that freedom.  The canonical representative fixes it once
-and for all: exponents start at zero (offset 0), the constant coefficient
+and for all: exponents start at zero, the constant coefficient
 is nonzero and strictly positive, and the top coefficient is nonzero.
 Unit equivalence then becomes literal equality of values, and the
 canonical form is closed under multiplication (the constant term of a
@@ -25,19 +25,17 @@ FACTOR_DEGREE_CAP = 64
 class LaurentPoly:
     """Canonical integer Laurent polynomial.
 
-    ``coeffs`` lists coefficients from the lowest exponent up; ``offset``
-    is the exponent of the first entry and is always 0 in canonical form.
-    Construct via :func:`canonicalize` unless the input is already known
-    to be canonical.
+    ``coeffs`` lists coefficients from exponent 0 up.  Construct via
+    :func:`canonicalize` unless the input is already known to be
+    canonical.
     """
 
     coeffs: tuple[int, ...]
-    offset: int = 0
 
     def __post_init__(self):
         if not self.coeffs:
             raise PolynomialError("zero polynomial has no canonical form")
-        if self.offset != 0 or self.coeffs[0] <= 0 or self.coeffs[-1] == 0:
+        if self.coeffs[0] <= 0 or self.coeffs[-1] == 0:
             raise PolynomialError(f"not in canonical form: {self.coeffs!r}")
 
     @property
@@ -60,11 +58,11 @@ class LaurentPoly:
 ONE = LaurentPoly((1,))
 
 
-def canonicalize(raw_coeffs, raw_offset: int = 0) -> LaurentPoly:
+def canonicalize(raw_coeffs) -> LaurentPoly:
     """Unique representative of a Laurent polynomial modulo units +-t^k.
 
-    Leading and trailing zero coefficients are stripped (absorbing the
-    offset), and the sign is fixed so the constant term is positive.
+    Leading and trailing zero coefficients are stripped (absorbing any
+    power of t), and the sign is fixed so the constant term is positive.
     Idempotent on canonical input.
     """
     cs = list(raw_coeffs)
@@ -92,10 +90,6 @@ def poly_from_text(text: str) -> LaurentPoly:
     return canonicalize(coeffs)
 
 
-def poly_to_text(p: LaurentPoly) -> str:
-    return p.to_text()
-
-
 def mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Product of canonical polynomials; canonical by construction."""
     return LaurentPoly(tuple(_intpoly.mul(list(p.coeffs), list(q.coeffs))))
@@ -120,17 +114,14 @@ def eval_int(p: LaurentPoly, x: int) -> int:
 class Factorization:
     """Multiset of irreducible canonical factors with multiplicities.
 
-    ``unit * prod(factor**mult)`` reproduces the factored polynomial
-    exactly; with the positive-constant canonical form the unit always
-    works out to +1.  Factors are sorted by (degree, coefficients).
+    ``prod(factor**mult)`` reproduces the factored polynomial exactly:
+    with the positive-constant canonical form no unit is left over.
+    Factors are sorted by (degree, coefficients).
     """
 
-    unit: int
     factors: tuple[tuple[LaurentPoly, int], ...]
 
     def expand(self) -> LaurentPoly:
-        if self.unit != 1:
-            raise PolynomialError("unit -1 has no canonical expansion")
         out = ONE
         for q, m in self.factors:
             for _ in range(m):
@@ -156,7 +147,7 @@ class Factorization:
         merged: dict[LaurentPoly, int] = {}
         for q, m in self.factors + other.factors:
             merged[q] = merged.get(q, 0) + m
-        return Factorization(self.unit * other.unit, _sorted_factors(merged))
+        return Factorization(_sorted_factors(merged))
 
 
 def _sorted_factors(table: dict[LaurentPoly, int]):
@@ -182,7 +173,7 @@ def factor(p: LaurentPoly) -> Factorization:
         for raw, m in _intpoly.factor_primitive(prim):
             fac = canonicalize(raw)
             table[fac] = table.get(fac, 0) + m
-    result = Factorization(1, _sorted_factors(table))
+    result = Factorization(_sorted_factors(table))
     if result.expand() != p:
         raise AssertionError("factorization failed to reproduce the input")
     return result

@@ -21,18 +21,16 @@ import functools
 import io
 import operator
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations_with_replacement
 
 from . import laurent
-from .bounds import (CATEGORY_UNKNOWN, CATEGORIES, DETERMINED, GcBounds,
-                     KnotRecord, SLICE_STATUSES, classify, gc_bounds)
+from .bounds import (CATEGORY_UNKNOWN, CATEGORIES, DETERMINED, SLICE,
+                     SLICE_STATUSES, Analysis, GcBounds, KnotRecord, analyze)
 from .errors import KcgError, RecordError, TableError
-from .foxmilnor import enhanced_required_factors
-from .laurent import LaurentPoly, poly_from_text, poly_to_text
-from .seifert import SeifertMatrix, signature_profile
+from .laurent import LaurentPoly, poly_from_text
+from .seifert import SeifertMatrix
 
 SCHEMA = ("name", "crossings", "alexander", "signature", "genus3",
           "genus4_min", "genus4_max", "slice", "seifert", "concordant_to")
@@ -147,7 +145,7 @@ def serialize(table: KnotTable) -> str:
     writer.writerow(SCHEMA)
     for r in table.records:
         writer.writerow([
-            r.name, r.crossings, poly_to_text(r.alexander), r.signature,
+            r.name, r.crossings, r.alexander.to_text(), r.signature,
             r.genus3, r.genus4[0], r.genus4[1], r.slice_status,
             r.seifert.to_text() if r.seifert is not None else "",
             "+".join(r.concordant_to),
@@ -202,7 +200,6 @@ class CandidateMatch:
     expression: str
     summands: tuple[str, ...]
     combined_alexander: LaurentPoly
-    sigma_matches: bool
     combined_genus3: int
     combined_crossings: int
 
@@ -227,15 +224,20 @@ def match_candidates(k: KnotRecord, candidates: KnotTable,
     mirrors are free).  Sorted by combined genus, then total crossings,
     then expression, so the most economical explanation comes first.
     """
+    return _match(k, candidates, max_summands, functools.cache(laurent.factor))
+
+
+def _match(k: KnotRecord, candidates: KnotTable, max_summands: int,
+           factored, analysis: Analysis | None = None):
+    """match_candidates; a census shares ``factored`` across its rows."""
     if not candidates.records:
         raise TableError("empty candidate table")
-    if gc_bounds(k).status == DETERMINED:
+    analysis = analysis or analyze(k, factored(k.alexander))
+    if analysis.bounds.status == DETERMINED:
         raise RecordError(f"bounds for {k.name} are already determined")
-    fac = laurent.factor(k.alexander)
-    profile = signature_profile(k.seifert) if k.seifert is not None else None
-    required = laurent.factor(enhanced_required_factors(fac, profile).enhanced)
+    required = factored(analysis.required.enhanced)
     pool = sorted(candidates.records, key=lambda r: (r.crossings, r.name))
-    fac_of = {r.name: laurent.factor(r.alexander) for r in pool}
+    fac_of = {r.name: factored(r.alexander) for r in pool}
     out = []
     for size in range(1, max_summands + 1):
         for combo in combinations_with_replacement(pool, size):
@@ -252,8 +254,7 @@ def match_candidates(k: KnotRecord, candidates: KnotTable,
             names = tuple(r.name for r in combo)
             out.append(CandidateMatch(
                 expression="+".join(names), summands=names,
-                combined_alexander=total.expand(), sigma_matches=True,
-                combined_genus3=genus,
+                combined_alexander=total.expand(), combined_genus3=genus,
                 combined_crossings=sum(r.crossings for r in combo)))
     out.sort(key=lambda m: (m.combined_genus3, m.combined_crossings,
                             m.expression))
@@ -280,40 +281,31 @@ class CensusReport:
 
 
 def census(table: KnotTable, candidates: KnotTable | None = None,
-           max_summands: int = 2, jobs: int = 1) -> CensusReport:
+           max_summands: int = 2) -> CensusReport:
     """Classify every record and aggregate category counts.
 
     Rows keep the input order.  The genus lookup for tabulated
     concordances is assembled from the bundled reference table, the
     candidate table (if any), and the input table itself.  When a
     candidate table is supplied, rows that end up unclassified also get
-    their matcher output.  ``jobs`` > 1 evaluates records in a thread
-    pool; results are merged back in input order either way.
+    their matcher output.  Each record is analyzed once, and no
+    polynomial is factored twice.
     """
-    genus_of: dict[str, int] = {}
-    for source in (reference_table(), candidates, table):
-        if source is not None:
-            for rec in source.records:
-                genus_of[rec.name] = rec.genus3
-
-    def entry(rec: KnotRecord):
-        return gc_bounds(rec), classify(rec, genus_of)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(pool.map(entry, table.records))
-    else:
-        pairs = [entry(rec) for rec in table.records]
-
+    genus_of = {rec.name: rec.genus3
+                for source in (reference_table(), candidates, table)
+                if source is not None for rec in source.records}
+    factored = functools.cache(laurent.factor)  # for this call only
     counts = {category: 0 for category in CATEGORIES}
     rows = []
-    for rec, (bound, category) in zip(table.records, pairs):
-        counts[category] += 1
+    for rec in table.records:
+        fac = None if rec.slice_status == SLICE else factored(rec.alexander)
+        analysis = analyze(rec, fac, genus_of)
+        counts[analysis.category] += 1
         names = ()
-        if candidates is not None and category == CATEGORY_UNKNOWN:
-            names = tuple(m.expression
-                          for m in match_candidates(rec, candidates, max_summands))
-        rows.append(CensusRow(rec.name, bound, category, names))
+        if candidates is not None and analysis.category == CATEGORY_UNKNOWN:
+            names = tuple(m.expression for m in _match(
+                rec, candidates, max_summands, factored, analysis))
+        rows.append(CensusRow(rec.name, analysis.bounds, analysis.category, names))
     return CensusReport(counts=counts, total=len(rows), rows=tuple(rows))
 
 

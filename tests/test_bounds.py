@@ -9,9 +9,11 @@ from kcg.bounds import (CATEGORY_CONCORDANT, CATEGORY_IRREDUCIBLE_POLY,
                         CATEGORY_SLICE, CATEGORY_UNKNOWN, DETERMINED,
                         UNDETERMINED, GcBounds, KnotRecord, classify, combine,
                         gc_bounds)
-from kcg.errors import RecordError
+from kcg import seifert
+from kcg.errors import ProfileError, RecordError
 from kcg.laurent import mul, poly_from_text
 from kcg.seifert import SeifertMatrix
+from kcg.tabledata import reference_table
 
 
 def P(text):
@@ -170,6 +172,19 @@ class TestClassify:
         rec = record(name="n34", alexander=P("1"), signature=0,
                      genus3=3, genus4=(0, 1))
         assert classify(rec) == CATEGORY_UNKNOWN
+
+    def test_polynomial_rules_need_no_profile(self, monkeypatch):
+        # the trefoil has a Seifert matrix and an irreducible polynomial
+        # of full degree: its category never needs the refused profile
+        def refuse(matrix):
+            raise ProfileError("root isolation failed")
+
+        monkeypatch.setattr(seifert, "signature_profile", refuse)
+        trefoil = reference_table().find("3_1")
+        assert trefoil.seifert is not None
+        assert classify(trefoil) == CATEGORY_IRREDUCIBLE_POLY
+        with pytest.raises(ProfileError):
+            gc_bounds(trefoil)
 
 
 class TestInvariantsOverFixtures:

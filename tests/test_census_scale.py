@@ -2,14 +2,20 @@
 same category profile as a complete eleven-crossing export
 (384 / 84 / 6 / 30 / 29 / 19) must classify exactly and fast."""
 
+import collections
+import hashlib
 import itertools
+import sys
 import time
 
+import pytest
+
+from kcg import laurent
 from kcg.bounds import KnotRecord
 from kcg.laurent import factor, mul, poly_from_text
 from kcg.tabledata import (KnotTable, census, concordant_fixture,
-                           parse_table, serialize, slice_fixture,
-                           unknown_fixture)
+                           parse_table, reference_table, report_tsv,
+                           serialize, slice_fixture, unknown_fixture)
 
 # symmetric irreducibles, keyed by half-degree
 IRREDUCIBLE_POOL = {
@@ -94,3 +100,30 @@ def test_pair_rows_really_have_no_norm_factor():
         fac = factor(rec.alexander)
         assert sum(m for _, m in fac.factors) == 2
         assert all(m == 1 for _, m in fac.factors)
+
+
+def test_synthetic_552_report_is_pinned():
+    # byte-for-byte: a change to any row's bound, category or contributors
+    # moves the hash
+    text = report_tsv(census(_full_table()))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "606f0fffbe2b8862"
+
+
+@pytest.mark.parametrize("candidates", [None, reference_table()],
+                         ids=["alone", "with-candidates"])
+def test_census_factors_no_polynomial_twice(candidates):
+    table = _full_table()
+    code = laurent.factor.__code__
+    inputs = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            inputs[frame.f_locals["p"]] += 1
+
+    sys.setprofile(profile)
+    try:
+        census(table, candidates)
+    finally:
+        sys.setprofile(None)
+    assert inputs, "the census factored nothing"
+    assert [p for p, n in inputs.items() if n > 1] == []

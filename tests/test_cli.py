@@ -93,10 +93,6 @@ class TestCensusCommand:
         assert text.startswith("name\tgc_lower\tgc_upper\tcategory")
         assert len(text.strip().split("\n")) == 30
 
-    def test_jobs_flag(self, concordant_csv, capsys):
-        assert main(["census", "--table", concordant_csv, "--jobs", "4"]) == 0
-        assert "concordant_lower_genus\t29" in capsys.readouterr().out
-
     def test_census_byte_deterministic(self, unknown_csv, reference_csv,
                                        tmp_path, capsys):
         outputs = []

@@ -69,8 +69,8 @@ class TestSliceObstruction:
 
 
 class TestEnhancement:
-    F_JUMPY = Factorization(1, ((P("1;-1;1"), 2), (P("1;-1;1;-1;1"), 1)))
-    F_QUIET = Factorization(1, ((P("1;-1;1"), 2), (P("4;-7;4"), 1)))
+    F_JUMPY = Factorization(((P("1;-1;1"), 2), (P("1;-1;1;-1;1"), 1)))
+    F_QUIET = Factorization(((P("1;-1;1"), 2), (P("4;-7;4"), 1)))
 
     def test_jump_forces_square_back_in(self):
         req = enhanced_required_factors(self.F_JUMPY, profile_with_jump(PI / 3, 4))
@@ -93,7 +93,7 @@ class TestEnhancement:
         assert req.residual == req.enhanced == P("4;-7;4")
 
     def test_absent_profile(self):
-        req = enhanced_required_factors(Factorization(1, ()), None)
+        req = enhanced_required_factors(Factorization(()), None)
         assert req.residual == req.enhanced == ONE
         assert req.contributors == ()
 
@@ -108,7 +108,7 @@ class TestEnhancement:
     def test_odd_multiplicity_not_enhanced(self):
         # the quadratic already sits in the residual once; a jump at its
         # root must not multiply it in again
-        fac = Factorization(1, ((P("1;-1;1"), 1),))
+        fac = Factorization(((P("1;-1;1"), 1),))
         req = enhanced_required_factors(fac, profile_with_jump(PI / 3, 2))
         assert req.enhanced == P("1;-1;1")
 
@@ -125,7 +125,7 @@ class TestPolyLowerBound:
         assert gc_poly_lower_bound(req) == 4
 
     def test_trivial(self):
-        req = enhanced_required_factors(Factorization(1, ()), None)
+        req = enhanced_required_factors(Factorization(()), None)
         assert gc_poly_lower_bound(req) == 0
 
 

@@ -5,11 +5,16 @@ upper unit semicircle together with its jump structure.
 Numeric policy: anything that feeds an exact-equality downstream is
 computed exactly.  The knot polynomial comes from integer determinants at
 interpolation nodes (fraction-free Bareiss plus Lagrange over rationals),
-and the Murasugi signature from congruence diagonalization over the
-rationals.  Interior signature samples use double-precision Hermitian
-eigenvalues; a sample whose smallest eigenvalue sits within tolerance of
-zero is rejected and retried at a perturbed angle, which is safe because
-the signature function is constant on each arc between roots.
+once per matrix: the matrix keeps it, so validating a record, its
+signature profile and its callers share one computation.  The Murasugi
+signature comes from congruence diagonalization over the rationals.
+Interior signature samples use double-precision Hermitian eigenvalues; a
+sample whose smallest eigenvalue sits within tolerance of zero is
+rejected and retried at a perturbed angle, which is safe because the
+signature function is constant on each arc between roots.  numpy is
+imported by the two float kernels on their first call, so code that
+never samples the signature function never loads it; an integer too
+large for a double is refused there as a ProfileError.
 """
 
 from __future__ import annotations
@@ -17,8 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from functools import cached_property
 
 from . import _intpoly
 from .errors import IndeterminateSampleError, ProfileError, SeifertError
@@ -70,6 +74,29 @@ class SeifertMatrix:
 
     def to_text(self) -> str:
         return ";".join(",".join(str(x) for x in row) for row in self.entries)
+
+    @cached_property
+    def _alexander(self) -> LaurentPoly:
+        """det(V - t V^T) on first use; ``alexander`` is the public name."""
+        n = self.size
+        if n == 0:
+            return ONE
+        nodes = [0]
+        k = 1
+        while len(nodes) < n + 1:
+            nodes.append(k)
+            if len(nodes) < n + 1:
+                nodes.append(-k)
+            k += 1
+        points = []
+        for x in nodes:
+            m = [[self.entries[i][j] - x * self.entries[j][i] for j in range(n)]
+                 for i in range(n)]
+            points.append((x, _det_int(m)))
+        poly = canonicalize(_interpolate_int(points))
+        if abs(eval_int(poly, 1)) != 1:
+            raise SeifertError("not a knot Seifert matrix")
+        return poly
 
 
 @dataclass(frozen=True)
@@ -179,27 +206,10 @@ def alexander(V: SeifertMatrix) -> LaurentPoly:
 
     Computed exactly by evaluating the determinant at size+1 integer
     nodes and interpolating; the value at t = 1 is det(V - V^T) = 1, so
-    a constructed matrix can never fail the knot-polynomial check.
+    a constructed matrix can never fail the knot-polynomial check.  The
+    matrix keeps the result, so each matrix is interpolated once.
     """
-    n = V.size
-    if n == 0:
-        return ONE
-    nodes = [0]
-    k = 1
-    while len(nodes) < n + 1:
-        nodes.append(k)
-        if len(nodes) < n + 1:
-            nodes.append(-k)
-        k += 1
-    points = []
-    for x in nodes:
-        m = [[V.entries[i][j] - x * V.entries[j][i] for j in range(n)]
-             for i in range(n)]
-        points.append((x, _det_int(m)))
-    poly = canonicalize(_interpolate_int(points))
-    if abs(eval_int(poly, 1)) != 1:
-        raise SeifertError("not a knot Seifert matrix")
-    return poly
+    return V._alexander
 
 
 def murasugi_signature(V: SeifertMatrix) -> int:
@@ -214,8 +224,13 @@ def murasugi_signature(V: SeifertMatrix) -> int:
 
 def _sample_signature(V: SeifertMatrix, theta: float) -> int:
     """Eigenvalue sign count of (1-w)V + (1-conj(w))V^T at w = e^(i theta)."""
+    import numpy as np
+
     w = complex(math.cos(theta), math.sin(theta))
-    a = np.array(V.entries, dtype=float)
+    try:
+        a = np.array(V.entries, dtype=float)
+    except OverflowError as exc:
+        raise ProfileError("matrix entries exceed the float range") from exc
     m = (1 - w) * a + (1 - w.conjugate()) * a.T
     lam = np.linalg.eigvalsh(m)
     scale = EIG_ZERO_TOL * (1.0 + float(np.max(np.sum(np.abs(m), axis=1))))
@@ -270,10 +285,15 @@ def unit_circle_root_angles(p: LaurentPoly) -> tuple[float, ...]:
     modulus is within 1e-8 of 1, and conjugate pairs collapse to the
     angle with positive imaginary part.
     """
+    import numpy as np
+
     w = _intpoly.squarefree_part(list(p.coeffs))
     if _intpoly.degree(w) < 1:
         return ()
-    monic = np.array(list(reversed(w)), dtype=float) / w[-1]
+    try:
+        monic = np.array(list(reversed(w)), dtype=float) / w[-1]
+    except OverflowError as exc:
+        raise ProfileError("polynomial coefficients exceed the float range") from exc
     wd = _intpoly.derivative(w)
     angles = []
     for z0 in np.roots(monic):

@@ -198,7 +198,6 @@ class CandidateMatch:
     """
 
     expression: str
-    summands: tuple[str, ...]
     combined_alexander: LaurentPoly
     combined_genus3: int
     combined_crossings: int
@@ -251,9 +250,8 @@ def _match(k: KnotRecord, candidates: KnotTable, max_summands: int,
             genus = sum(r.genus3 for r in combo)
             if genus >= k.genus3:
                 continue
-            names = tuple(r.name for r in combo)
             out.append(CandidateMatch(
-                expression="+".join(names), summands=names,
+                expression="+".join(r.name for r in combo),
                 combined_alexander=total.expand(), combined_genus3=genus,
                 combined_crossings=sum(r.crossings for r in combo)))
     out.sort(key=lambda m: (m.combined_genus3, m.combined_crossings,

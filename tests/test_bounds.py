@@ -1,6 +1,7 @@
 """Bound combination and census classification."""
 
 import math
+from importlib import resources
 
 import pytest
 
@@ -13,7 +14,7 @@ from kcg import seifert
 from kcg.errors import ProfileError, RecordError
 from kcg.laurent import mul, poly_from_text
 from kcg.seifert import SeifertMatrix
-from kcg.tabledata import reference_table
+from kcg.tabledata import parse_table, reference_table
 
 
 def P(text):
@@ -132,6 +133,20 @@ class TestGcBounds:
         rec = record(name="rep", alexander=DELTA_SIX, signature=-6,
                      genus3=3, genus4=(3, 3))
         assert gc_bounds(rec) == gc_bounds(rec)
+
+    def test_knot_polynomial_interpolated_once_per_matrix(self, monkeypatch):
+        # validating the record and building its signature profile share
+        # one det(V - t V^T)
+        calls = []
+        interpolate = seifert._interpolate_int
+        monkeypatch.setattr(seifert, "_interpolate_int",
+                            lambda points: calls.append(1) or interpolate(points))
+        text = resources.files("kcg").joinpath("data", "knots_small.csv").read_text("utf-8")
+        records = [r for r in parse_table(text).records if r.seifert is not None]
+        for rec in records:
+            gc_bounds(rec)
+        assert len(records) == 8
+        assert len(calls) == len(records)
 
 
 class TestClassify:

@@ -1,10 +1,55 @@
 """Command-line interface behavior and output determinism."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import kcg
 from kcg.cli import main
 from kcg.tabledata import (concordant_fixture, reference_table, serialize,
                            unknown_fixture)
+
+PACKAGE = Path(kcg.__file__).resolve().parent
+UNKNOWN_CSV = str(PACKAGE / "data" / "unknown_11.csv")
+SMALL_CSV = str(PACKAGE / "data" / "knots_small.csv")
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# runs kcg.cli.main in a new interpreter, then reports on stderr whether
+# numpy got imported (the test process itself has numpy loaded already)
+_RUN_MAIN = """\
+import sys
+from kcg.cli import main
+status = main(sys.argv[1:])
+print("numpy" in sys.modules, file=sys.stderr)
+sys.exit(status)
+"""
+
+
+def _run_fresh(argv):
+    """(exit code, stdout, numpy imported) of ``kcg argv`` in a new process."""
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run([sys.executable, "-c", _RUN_MAIN, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    *_, loaded = proc.stderr.splitlines()
+    return proc.returncode, proc.stdout, loaded == "True"
+
+
+def _readme_output(command):
+    """The stdout lines the README shows after ``command``; it draws each
+    tab as a run of spaces."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(command))
+    shown = []
+    for line in lines[start + 1:]:
+        if not line.startswith("# "):
+            break
+        shown.append(re.sub(" {2,}", "\t", line[2:]))
+    return shown
 
 
 @pytest.fixture()
@@ -63,6 +108,40 @@ class TestInvariantsCommand:
     def test_bad_matrix_exits_1(self, capsys):
         assert main(["invariants", "--seifert", "1,0;0,1"]) == 1
         assert "not a knot Seifert matrix" in capsys.readouterr().err
+
+    # 10**400 has no double: the first matrix overflows in root isolation,
+    # the second (knot polynomial 1, no roots) in the signature sample
+    @pytest.mark.parametrize("corner", ["1", "0"])
+    def test_entry_beyond_float_range_exits_1(self, corner, capsys):
+        assert main(["invariants", f"--seifert={10**400},1;0,{corner}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("kcg: ")
+        assert "exceed the float range" in err
+        assert err.count("\n") == 1
+
+
+class TestImportCost:
+    """numpy is imported by the first float signature sample, not before."""
+
+    @pytest.mark.parametrize("argv", [
+        ["factor", "--poly", "1;-9;28;-39;28;-9;1"],
+        ["bound", "--name", "11a_6", "--table", UNKNOWN_CSV],
+        ["census", "--table", UNKNOWN_CSV, "--candidates", SMALL_CSV],
+        ["match", "--name", "11n_152", "--table", UNKNOWN_CSV,
+         "--candidates", SMALL_CSV],
+    ], ids=["factor", "bound", "census", "match"])
+    def test_rows_without_a_matrix_never_import_numpy(self, argv):
+        status, out, numpy_loaded = _run_fresh(argv)
+        assert status == 0
+        assert out
+        assert not numpy_loaded
+
+    def test_invariants_still_prints_the_readme_lines(self):
+        status, out, numpy_loaded = _run_fresh(["invariants", "--seifert=-1,1;0,-1"])
+        assert status == 0
+        assert out.splitlines() == _readme_output(
+            'kcg invariants "--seifert=-1,1;0,-1"')
+        assert numpy_loaded
 
 
 class TestBoundCommand:

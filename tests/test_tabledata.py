@@ -143,7 +143,7 @@ class TestMatcher:
         assert [m.expression for m in matches] == ["3_1"]
         assert matches[0].combined_genus3 == 1
         # the kept summand, or its mirror, reaches the query's signature
-        summand = reference_table().find(matches[0].summands[0])
+        summand = reference_table().find(matches[0].expression)
         assert abs(summand.signature) == abs(rec.signature)
 
     def test_empty_result_when_degree_blocks(self):

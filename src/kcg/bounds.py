@@ -134,16 +134,15 @@ def analyze(k: KnotRecord, fac: laurent.Factorization | None,
     req = foxmilnor.enhanced_required_factors(fac, profile)
     bounds = combine(k.genus4[0], k.signature, foxmilnor.gc_poly_lower_bound(req),
                      k.genus3, jump_enhanced=req.enhanced != req.residual)
-    return Analysis(req, bounds, _polynomial_category(k, fac, lambda: req.residual)
+    return Analysis(req, bounds, _polynomial_category(k, fac, req.residual)
                     or _interval_category(k, bounds, genus_of))
 
 
-def _polynomial_category(k: KnotRecord, fac, residual) -> str | None:
-    """The rules that need no profile; ``residual()`` runs only for the second."""
+def _polynomial_category(k: KnotRecord, fac, residual: LaurentPoly) -> str | None:
     if k.alexander.degree // 2 == k.genus3:
         if fac.irreducible:
             return CATEGORY_IRREDUCIBLE_POLY
-        if sum(m for _, m in fac.factors) >= 2 and residual() == k.alexander:
+        if sum(m for _, m in fac.factors) >= 2 and residual == k.alexander:
             return CATEGORY_NO_SYMMETRIC_PAIR
     return None
 
@@ -179,9 +178,5 @@ def classify(k: KnotRecord, genus_of=None) -> str:
     total genus, and finally unknown.  ``genus_of`` maps knot names to
     their genus and is only consulted for the concordance rule.
     """
-    if k.slice_status == SLICE:
-        return CATEGORY_SLICE
-    fac = laurent.factor(k.alexander)
-    # the polynomial rules come first: the signature profile may be refused
-    return (_polynomial_category(k, fac, lambda: foxmilnor.residual(fac))
-            or analyze(k, fac, genus_of).category)
+    fac = None if k.slice_status == SLICE else laurent.factor(k.alexander)
+    return analyze(k, fac, genus_of).category

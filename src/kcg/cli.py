@@ -15,7 +15,7 @@ from pathlib import Path
 from .bounds import CATEGORIES, gc_bounds
 from .errors import KcgError
 from .laurent import factor, poly_from_text
-from .seifert import SeifertMatrix, alexander, murasugi_signature, signature_profile
+from .seifert import SeifertMatrix, alexander, signature_profile
 from .tabledata import KnotTable, census, match_candidates, parse_table, report_tsv
 
 
@@ -24,6 +24,8 @@ def _read_table(path: str) -> KnotTable:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise KcgError(f"cannot read table {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise KcgError(f"cannot read table {path}: not UTF-8") from exc
     table = parse_table(text, source_path=path)
     for bad in table.rejected:
         print(f"kcg: {path}:{bad.line}: {bad.reason}", file=sys.stderr)
@@ -52,9 +54,10 @@ def _cmd_factor(args) -> int:
 
 def _cmd_invariants(args) -> int:
     matrix = SeifertMatrix.from_text(args.seifert)
+    profile = signature_profile(matrix)
     print(f"alexander\t{alexander(matrix).to_text()}")
-    print(f"signature\t{murasugi_signature(matrix)}")
-    for angle, jump, averaged in signature_profile(matrix).jump_points:
+    print(f"signature\t{profile.endpoint_value_at_pi}")
+    for angle, jump, averaged in profile.jump_points:
         print(f"jump\t{angle:.9f}\t{jump}\t{averaged}")
     return 0
 
@@ -89,6 +92,15 @@ def _cmd_match(args) -> int:
     return 0
 
 
+class _AtLeastOne(argparse.Action):
+    """Stores an int option; a value below 1 is a usage error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 1:
+            raise argparse.ArgumentError(self, f"must be at least 1: {value}")
+        setattr(namespace, self.dest, value)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kcg",
@@ -115,14 +127,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True)
     p.add_argument("--report", help="write the per-knot TSV report here")
     p.add_argument("--candidates", help="candidate table for unknown rows")
-    p.add_argument("--max-summands", type=int, default=2)
+    p.add_argument("--max-summands", type=int, default=2, action=_AtLeastOne)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("match", help="candidate concordances for one knot")
     p.add_argument("--name", required=True)
     p.add_argument("--table", required=True)
     p.add_argument("--candidates", required=True)
-    p.add_argument("--max-summands", type=int, default=2)
+    p.add_argument("--max-summands", type=int, default=2, action=_AtLeastOne)
     p.set_defaults(func=_cmd_match)
     return parser
 

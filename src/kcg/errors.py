@@ -13,12 +13,8 @@ class SeifertError(KcgError):
     """Raised for matrices that fail the Seifert-form validation."""
 
 
-class IndeterminateSampleError(SeifertError):
-    """A numeric signature sample landed too close to a zero eigenvalue."""
-
-
 class ProfileError(SeifertError):
-    """Root isolation failed, or a signature profile is inconsistent."""
+    """A signature profile is inconsistent with a factorization."""
 
 
 class RecordError(KcgError):

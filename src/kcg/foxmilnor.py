@@ -17,10 +17,7 @@ from dataclasses import dataclass
 
 from .errors import PolynomialError, ProfileError
 from .laurent import ONE, Factorization, LaurentPoly, factor, is_symmetric, mul, reciprocal
-from .seifert import SignatureProfile, unit_circle_root_angles
-
-#: A profile jump is attached to a factor when the angles agree this closely.
-JUMP_ANGLE_TOL = 1e-6
+from .seifert import SignatureProfile, roots_in_brackets
 
 ODD_SYMMETRIC = "odd-multiplicity-symmetric"
 SIGNATURE_JUMP = "signature-jump"
@@ -80,28 +77,24 @@ def enhanced_required_factors(fac: Factorization,
 
     A symmetric irreducible q discarded with even multiplicity comes back
     as q**2 when the profile carries a jump of magnitude at least 2 at
-    one of q's unit-circle root angles.  Every nonzero profile jump must
-    sit at a root of some factor; anything else is an inconsistency
-    between the profile and the factorization.
+    one of q's unit-circle roots, which q has exactly when its trace
+    polynomial changes sign across the jump's rational bracket.  Every
+    nonzero profile jump must sit at a root of some factor; anything else
+    is an inconsistency between the profile and the factorization.
     """
     res = residual(fac)
     contributors = [(q, ODD_SYMMETRIC) for q, m in fac.factors
                     if m % 2 and is_symmetric(q)]
     enhanced = res
     if profile is not None:
-        root_angles = {q: unit_circle_root_angles(q) for q, _ in fac.factors}
-
-        def _hits(angle: float, q: LaurentPoly) -> bool:
-            return any(abs(angle - a) <= JUMP_ANGLE_TOL for a in root_angles[q])
-
-        for angle, jump, _avg in profile.jump_points:
-            if jump != 0 and not any(_hits(angle, q) for q, _ in fac.factors):
-                raise ProfileError("inconsistent profile")
+        owns = {q: roots_in_brackets(q, profile.jump_brackets) for q, _ in fac.factors}
+        jumps = [jump for _angle, jump, _avg in profile.jump_points]
+        if any(jump and not any(o[i] for o in owns.values())
+               for i, jump in enumerate(jumps)):
+            raise ProfileError("inconsistent profile")
         for q, m in fac.factors:
             if m and m % 2 == 0 and is_symmetric(q):
-                forced = any(abs(jump) >= 2 and _hits(angle, q)
-                             for angle, jump, _avg in profile.jump_points)
-                if forced:
+                if any(abs(jump) >= 2 and owns[q][i] for i, jump in enumerate(jumps)):
                     enhanced = mul(enhanced, mul(q, q))
                     contributors.append((q, SIGNATURE_JUMP))
     return RequiredFactors(residual=res, enhanced=enhanced,

@@ -2,19 +2,13 @@
 Murasugi signature, and the Levine-Tristram signature function on the
 upper unit semicircle together with its jump structure.
 
-Numeric policy: anything that feeds an exact-equality downstream is
-computed exactly.  The knot polynomial comes from integer determinants at
-interpolation nodes (fraction-free Bareiss plus Lagrange over rationals),
-once per matrix: the matrix keeps it, so validating a record, its
-signature profile and its callers share one computation.  The Murasugi
-signature comes from congruence diagonalization over the rationals.
-Interior signature samples use double-precision Hermitian eigenvalues; a
-sample whose smallest eigenvalue sits within tolerance of zero is
-rejected and retried at a perturbed angle, which is safe because the
-signature function is constant on each arc between roots.  numpy is
-imported by the two float kernels on their first call, so code that
-never samples the signature function never loads it; an integer too
-large for a double is refused there as a ProfileError.
+Every decision is exact.  The knot polynomial comes from integer determinants
+at interpolation nodes, once per matrix: the matrix keeps it.  At
+u = tan(theta/2) = p/q the Levine-Tristram form is a positive multiple of
+the integer Hermitian p(V+V^T) - iq(V-V^T), whose signature comes from
+fraction-free elimination over the Gaussian integers (p/q = 1/0: Murasugi).
+Unit-circle roots e^(i theta) are the roots x = 2cos(theta) in (-2, 2) of
+the half-degree trace polynomial, isolated by Sturm sequences on rationals.
 """
 
 from __future__ import annotations
@@ -25,14 +19,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import _intpoly
-from .errors import IndeterminateSampleError, ProfileError, SeifertError
-from .laurent import ONE, LaurentPoly, canonicalize, eval_int
+from .errors import SeifertError
+from .laurent import LaurentPoly, canonicalize, eval_int
 
-# An eigenvalue is a zero-crossing hazard below this relative tolerance.
-EIG_ZERO_TOL = 1e-9
-# A polished root counts as on the unit circle when ||z| - 1| is below this.
-UNIT_CIRCLE_TOL = 1e-8
-# lt_signature treats an angle within this of a root angle as "at the root".
+# lt_signature reads a float angle within this of a root angle as that
+# root: math.pi / 3 is one ulp away from the trefoil's root.
 ROOT_ANGLE_TOL = 1e-8
 
 
@@ -79,17 +70,8 @@ class SeifertMatrix:
     def _alexander(self) -> LaurentPoly:
         """det(V - t V^T) on first use; ``alexander`` is the public name."""
         n = self.size
-        if n == 0:
-            return ONE
-        nodes = [0]
-        k = 1
-        while len(nodes) < n + 1:
-            nodes.append(k)
-            if len(nodes) < n + 1:
-                nodes.append(-k)
-            k += 1
         points = []
-        for x in nodes:
+        for x in range(-(n // 2), n // 2 + 1):  # n is even
             m = [[self.entries[i][j] - x * self.entries[j][i] for j in range(n)]
                  for i in range(n)]
             points.append((x, _det_int(m)))
@@ -107,11 +89,14 @@ class SignatureProfile:
     between consecutive unit-circle roots of the knot polynomial;
     ``jump_points`` holds (angle, jump, averaged value) per root, where
     the averaged value is the mean of the two adjacent arc values.
+    ``jump_brackets`` holds, per root, a rational interval (lo, hi) of
+    x = 2cos(theta) = t + 1/t that contains that root and no other.
     """
 
     arcs: tuple[tuple[tuple[float, float], int], ...]
     jump_points: tuple[tuple[float, int, int], ...]
     endpoint_value_at_pi: int
+    jump_brackets: tuple[tuple[Fraction, Fraction], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -120,25 +105,21 @@ class SignatureProfile:
 
 def _det_int(rows) -> int:
     """Fraction-free Bareiss determinant of an integer matrix."""
-    n = len(rows)
-    if n == 0:
-        return 1
     a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return sign * prev
 
 
 def _interpolate_int(points) -> list[int]:
@@ -161,40 +142,145 @@ def _interpolate_int(points) -> list[int]:
     return [int(c) for c in acc]
 
 
-def _signature_symmetric_exact(mat) -> int:
-    """Signature of a symmetric rational matrix by congruence
-    diagonalization; zero eigenvalues contribute nothing."""
-    n = len(mat)
-    m = [[Fraction(x) for x in row] for row in mat]
-    pos = neg = 0
-    for i in range(n):
-        if m[i][i] == 0:
-            j = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
-            if j is not None:
-                m[i], m[j] = m[j], m[i]
-                for row in m:
-                    row[i], row[j] = row[j], row[i]
-            else:
-                j = next((j for j in range(i + 1, n) if m[i][j] != 0), None)
-                if j is None:
-                    continue  # zero row in the trailing block
-                for k in range(n):
-                    m[i][k] += m[j][k]
-                for row in m:
-                    row[i] += row[j]
-        d = m[i][i]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for j in range(i + 1, n):
-            if m[j][i] != 0:
-                f = m[j][i] / d
-                for k in range(n):
-                    m[j][k] -= f * m[i][k]
-                for row in m:
-                    row[j] -= f * row[i]
-    return pos - neg
+def _hermitian_signature(re, im) -> int:
+    """Signature of the integer Hermitian matrix re + i im (re symmetric,
+    im skew); zero eigenvalues count nothing.
+
+    Bareiss elimination over the Gaussian integers with symmetric
+    pivoting: each pivot is a real leading principal minor d_k of a
+    congruent matrix, and the k-th eigenvalue has the sign of d_k d_(k-1)
+    (Jacobi).  A block of zeros that remains adds nothing.
+    """
+    re = [list(r) for r in re]
+    im = [list(r) for r in im]
+    active = list(range(len(re)))
+    sig, prev = 0, 1
+    while active:
+        k = next((i for i in active if re[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i in active for j in active
+                         if re[i][j] or im[i][j]), None)
+            if pair is None:
+                break
+            # add c row j to row k and conj(c) column j to column k, with
+            # c = 1 or i such that the new entry 2 Re(c a_jk) is nonzero
+            k, j = pair
+            cr, ci = (1, 0) if re[j][k] else (0, 1)
+            for a in active:
+                if a != k:
+                    re[k][a] += cr * re[j][a] - ci * im[j][a]
+                    im[k][a] += cr * im[j][a] + ci * re[j][a]
+                    re[a][k], im[a][k] = re[k][a], -im[k][a]
+            re[k][k] = 2 * (cr * re[j][k] - ci * im[j][k])
+        d = re[k][k]
+        sig += 1 if (d > 0) == (prev > 0) else -1
+        active.remove(k)
+        rk, ik = re[k], im[k]
+        for x, a in enumerate(active):
+            ra, ia = re[a], im[a]
+            pa, qa = ra[k], ia[k]
+            for b in active[x:]:
+                pb, qb = rk[b], ik[b]
+                r = (d * ra[b] - pa * pb + qa * qb) // prev
+                s = (d * ia[b] - pa * qb - qa * pb) // prev
+                ra[b], ia[b] = r, s
+                re[b][a], im[b][a] = r, -s
+        prev = d
+    return sig
+
+
+def _lt_at(V: SeifertMatrix, p: int, q: int) -> int:
+    """Signature of p(V+V^T) - iq(V-V^T): the Levine-Tristram signature
+    at u = tan(theta/2) = p/q, or at theta = pi when q = 0."""
+    e, n = V.entries, V.size
+    re = [[p * (e[i][j] + e[j][i]) for j in range(n)] for i in range(n)]
+    im = [[q * (e[j][i] - e[i][j]) for j in range(n)] for i in range(n)]
+    return _hermitian_signature(re, im)
+
+
+# ---------------------------------------------------------------------------
+# unit-circle roots
+
+
+def _trace_poly(p: LaurentPoly) -> list[int]:
+    """Square-free D whose roots in (-2, 2) are the x = t + 1/t = 2cos(theta)
+    of the unit-circle roots t = e^(i theta), 0 < theta < pi, of p: those
+    lie in h = gcd(w, w reversed), w the square-free part of p, which
+    without t - 1 and t + 1 is palindromic of degree 2m; t^-m h(t) is a sum
+    of t^k + t^-k = P_k(x), P_0 = 2, P_1 = x, P_(k+1) = x P_k - P_(k-1)."""
+    w = _intpoly.squarefree_part(list(p.coeffs))
+    h = _intpoly.gcd(w, w[::-1])
+    for linear in ([-1, 1], [1, 1]):
+        h = _intpoly.try_div(h, linear) or h
+    m = len(h) // 2
+    out, prev, cur = [h[m]], [2], [0, 1]
+    for c in h[m + 1:]:
+        out = _intpoly.add(out, _intpoly.mul_ground(cur, c))
+        prev, cur = cur, _intpoly.sub([0, *cur], prev)
+    return out
+
+
+def _angle(x: Fraction) -> float:
+    """theta in [0, pi] with 2cos(theta) = x."""
+    return 2 * math.atan2(math.sqrt(2 - x), math.sqrt(2 + x))
+
+
+def _root_brackets(p: LaurentPoly) -> list[tuple[Fraction, Fraction]]:
+    """One rational bracket of x = 2cos(theta) per unit-circle root of p
+    with 0 < theta < pi, by increasing theta (decreasing x).
+
+    Sturm's theorem counts the roots of D in (lo, hi), neither end a
+    root, as the drop in sign changes along D, D', -rem, ... from lo to
+    hi.  (-2, 2) is halved until each part holds one root, which is then
+    bisected until the ends of its bracket give the same double angle.
+    """
+    d = _trace_poly(p)
+    seq = [d, _intpoly.derivative(d)]
+    while _intpoly.degree(seq[-1]) > 0:
+        g = seq[-1]
+        r = _intpoly._pseudo_rem(seq[-2], g if g[-1] > 0 else _intpoly.neg(g))
+        seq.append(_intpoly.neg(_intpoly.primitive(r)[1]))
+
+    def changes(x):
+        signs = [v > 0 for v in (_intpoly.eval_at(g, x) for g in seq) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    todo = [(Fraction(-2), changes(-2), Fraction(2), changes(2))]
+    out = []
+    while todo:
+        lo, vlo, hi, vhi = todo.pop()
+        if vlo - vhi > 1:
+            mid = (lo + hi) / 2
+            while not _intpoly.eval_at(d, mid):
+                mid = (lo + mid) / 2
+            vmid = changes(mid)
+            todo += [(lo, vlo, mid, vmid), (mid, vmid, hi, vhi)]
+        elif vlo - vhi == 1:
+            # strictly inside (lo, hi), so that brackets never touch
+            a, b, s = lo, hi, _intpoly.eval_at(d, lo) > 0
+            while a == lo or b == hi or _angle(a) != _angle(b):
+                mid = (a + b) / 2
+                t = _intpoly.eval_at(d, mid)
+                if not t:  # a rational root: keep it in the middle
+                    a, b = (a + mid) / 2, (mid + b) / 2
+                elif (t > 0) == s:
+                    a = mid
+                else:
+                    b = mid
+            out.append((a, b))
+    return sorted(out, reverse=True)
+
+
+def _u_between(lo: Fraction, hi: Fraction) -> tuple[int, int]:
+    """(p, q) with lo < 2cos(theta) < hi at u = tan(theta/2) = p/q, for the
+    least power of two q that has one; u^2 = (2 - x)/(2 + x) falls in x."""
+    small, big = (2 - hi) / (2 + hi), (2 - lo) / (2 + lo)
+    q = 1
+    while True:
+        p = math.isqrt(q * q * small.numerator // small.denominator) + 1
+        if p * p * big.denominator < q * q * big.numerator:
+            return p, q
+        q *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -214,149 +300,62 @@ def alexander(V: SeifertMatrix) -> LaurentPoly:
 
 def murasugi_signature(V: SeifertMatrix) -> int:
     """Exact signature of V + V^T (the signature function at omega = -1)."""
-    n = V.size
-    if n == 0:
-        return 0
-    sym = [[V.entries[i][j] + V.entries[j][i] for j in range(n)]
-           for i in range(n)]
-    return _signature_symmetric_exact(sym)
-
-
-def _sample_signature(V: SeifertMatrix, theta: float) -> int:
-    """Eigenvalue sign count of (1-w)V + (1-conj(w))V^T at w = e^(i theta)."""
-    import numpy as np
-
-    w = complex(math.cos(theta), math.sin(theta))
-    try:
-        a = np.array(V.entries, dtype=float)
-    except OverflowError as exc:
-        raise ProfileError("matrix entries exceed the float range") from exc
-    m = (1 - w) * a + (1 - w.conjugate()) * a.T
-    lam = np.linalg.eigvalsh(m)
-    scale = EIG_ZERO_TOL * (1.0 + float(np.max(np.sum(np.abs(m), axis=1))))
-    if bool(np.any(np.abs(lam) < scale)):
-        raise IndeterminateSampleError("indeterminate signature sample")
-    return int(np.count_nonzero(lam > 0) - np.count_nonzero(lam < 0))
-
-
-def _arc_value(V: SeifertMatrix, lo: float, hi: float) -> int:
-    """Constant signature value on the open arc (lo, hi).
-
-    Samples the midpoint first; a hazardous sample is retried at the
-    midpoint shifted by multiples of 1/16 of the arc, up to 8 retries.
-    """
-    mid = (lo + hi) / 2.0
-    step = (hi - lo) / 16.0
-    for k in (0, 1, -1, 2, -2, 3, -3, 4, -4):
-        try:
-            return _sample_signature(V, mid + k * step)
-        except IndeterminateSampleError:
-            continue
-    raise IndeterminateSampleError("indeterminate signature sample")
-
-
-def _ceval(f, z: complex) -> complex:
-    out = 0j
-    for c in reversed(f):
-        out = out * z + c
-    return out
-
-
-def _newton_polish(f, fd, z: complex) -> complex:
-    for _ in range(64):
-        d = _ceval(fd, z)
-        if d == 0:
-            break
-        step = _ceval(f, z) / d
-        z -= step
-        if abs(step) <= 1e-15 * (1.0 + abs(z)):
-            return z
-    scale = sum(abs(c) for c in f)
-    if abs(_ceval(f, z)) > 1e-8 * scale:
-        raise ProfileError("root isolation failed")
-    return z
+    return _lt_at(V, 1, 0)
 
 
 def unit_circle_root_angles(p: LaurentPoly) -> tuple[float, ...]:
-    """Angles in (0, pi) of the unit-circle roots of p.
+    """Angles in (0, pi) of the distinct unit-circle roots of p, increasing;
+    both ends of each root's rational bracket give this double."""
+    return tuple(_angle(lo) for lo, _ in _root_brackets(p))
 
-    Roots come from companion-matrix eigenvalues of the square-free part
-    polished by Newton iteration; a root is on the circle when its
-    modulus is within 1e-8 of 1, and conjugate pairs collapse to the
-    angle with positive imaginary part.
-    """
-    import numpy as np
 
-    w = _intpoly.squarefree_part(list(p.coeffs))
-    if _intpoly.degree(w) < 1:
-        return ()
-    try:
-        monic = np.array(list(reversed(w)), dtype=float) / w[-1]
-    except OverflowError as exc:
-        raise ProfileError("polynomial coefficients exceed the float range") from exc
-    wd = _intpoly.derivative(w)
-    angles = []
-    for z0 in np.roots(monic):
-        z = _newton_polish(w, wd, complex(z0))
-        if abs(abs(z) - 1.0) < UNIT_CIRCLE_TOL and z.imag > 1e-9:
-            angles.append(math.atan2(z.imag, z.real))
-    angles.sort()
-    merged: list[float] = []
-    for a in angles:
-        if not merged or a - merged[-1] > 1e-9:
-            merged.append(a)
-    return tuple(merged)
+def roots_in_brackets(p: LaurentPoly, brackets) -> tuple[bool, ...]:
+    """Per bracket of ``SignatureProfile.jump_brackets``, whether p has
+    the unit-circle root it isolates: whether the trace polynomial of p
+    changes sign across it."""
+    d = _trace_poly(p)
+    return tuple((_intpoly.eval_at(d, lo) > 0) != (_intpoly.eval_at(d, hi) > 0)
+                 for lo, hi in brackets)
 
 
 def lt_signature(V: SeifertMatrix, theta: float) -> int:
     """Levine-Tristram signature at omega = e^(i theta), theta in (0, pi].
 
-    At theta = pi this is the Murasugi signature, computed exactly.  At a
-    unit-circle root of the knot polynomial the value is the average of
-    the two one-sided limits (an integer: both limits are even).
+    At theta = pi this is the Murasugi signature.  At a unit-circle root
+    of the knot polynomial (within ROOT_ANGLE_TOL) the value is the
+    average of the two one-sided limits (an integer: both are even).
     """
-    if not 0.0 < theta <= math.pi + 1e-12:
+    if not 0.0 < theta <= math.pi:
         raise ValueError("angle must lie in (0, pi]")
-    if V.size == 0:
-        return 0
-    if abs(theta - math.pi) < 1e-12:
-        return murasugi_signature(V)
-    angles = unit_circle_root_angles(alexander(V))
-    hit = [a for a in angles if abs(a - theta) <= ROOT_ANGLE_TOL]
-    if hit:
-        bounds = [0.0, *angles, math.pi]
-        i = bounds.index(hit[0])
-        left = _arc_value(V, bounds[i - 1], bounds[i])
-        right = _arc_value(V, bounds[i], bounds[i + 1])
-        if (left + right) % 2:
-            raise ProfileError("root isolation failed")
-        return (left + right) // 2
-    return _sample_signature(V, theta)
+    profile = signature_profile(V)
+    for angle, _jump, averaged in profile.jump_points:
+        if abs(angle - theta) <= ROOT_ANGLE_TOL:
+            return averaged
+    return next((v for (_, hi), v in profile.arcs if theta < hi),
+                profile.endpoint_value_at_pi)
 
 
 def signature_profile(V: SeifertMatrix) -> SignatureProfile:
     """Arc decomposition of the signature function over (0, pi).
 
-    Jumps can only happen at unit-circle roots of the knot polynomial,
-    so sampling one clean value per arc between consecutive roots pins
-    the whole function.  The value on the first arc is 0 and the value on
-    the last arc equals the Murasugi signature; both are checked and a
-    mismatch is reported as failed root isolation.
+    Jumps happen only at unit-circle roots of the knot polynomial.  Near
+    theta = 0 the form is a multiple of -i(V - V^T), which is unimodular,
+    so the first arc has value 0; Delta(-1) is odd, so pi is never a root
+    and the last arc has the Murasugi signature.  Each arc in between
+    takes one exact evaluation at a rational u = tan(theta/2) inside it.
     """
-    if V.size == 0:
-        return SignatureProfile(arcs=(((0.0, math.pi), 0),), jump_points=(),
-                                endpoint_value_at_pi=0)
-    delta = alexander(V)
-    angles = unit_circle_root_angles(delta)
+    brackets = _root_brackets(alexander(V))
+    values = [0]
+    for (_, hi), (lo, _) in zip(brackets[1:], brackets):
+        values.append(_lt_at(V, *_u_between(hi, lo)))
+    if brackets:
+        values.append(murasugi_signature(V))
+    angles = [_angle(lo) for lo, _ in brackets]
     bounds = (0.0, *angles, math.pi)
-    values = [_arc_value(V, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    endpoint = murasugi_signature(V)
-    if values[0] != 0 or values[-1] != endpoint or any(v % 2 for v in values):
-        raise ProfileError("root isolation failed")
     jump_points = tuple(
         (angle, values[i + 1] - values[i], (values[i] + values[i + 1]) // 2)
         for i, angle in enumerate(angles))
-    arcs = tuple(((lo, hi), v)
-                 for (lo, hi), v in zip(zip(bounds, bounds[1:]), values))
+    arcs = tuple(((lo, hi), v) for lo, hi, v in zip(bounds, bounds[1:], values))
     return SignatureProfile(arcs=arcs, jump_points=jump_points,
-                            endpoint_value_at_pi=endpoint)
+                            endpoint_value_at_pi=values[-1],
+                            jump_brackets=tuple(brackets))

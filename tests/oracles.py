@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library code paths it is used to
 check: multiplication is a dict-based convolution, division is schoolbook
-over the rationals, signatures come straight from numpy eigenvalues, and
+over the rationals, signatures come straight from numpy eigenvalues or
+from a congruence diagonalization over the rationals of a real form, and
 the minimal-residual oracle enumerates decompositions instead of using
 the multiset rule.
 """
@@ -68,6 +69,84 @@ def eig_signature(entries, theta):
     m = (1 - w) * v + (1 - w.conjugate()) * v.T
     lam = np.linalg.eigvalsh(m)
     return int(np.count_nonzero(lam > 1e-9) - np.count_nonzero(lam < -1e-9))
+
+
+def symmetric_signature(rows) -> int:
+    """Signature of a symmetric rational matrix by congruence
+    diagonalization; a zero diagonal is repaired by adding a row and its
+    column to another, and zero eigenvalues count nothing."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    sig = 0
+    for i in range(n):
+        if m[i][i] == 0:
+            j = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
+            if j is not None:
+                m[i], m[j] = m[j], m[i]
+                for row in m:
+                    row[i], row[j] = row[j], row[i]
+            else:
+                j = next((j for j in range(i + 1, n) if m[i][j] != 0), None)
+                if j is None:
+                    continue
+                for k in range(n):
+                    m[i][k] += m[j][k]
+                for row in m:
+                    row[i] += row[j]
+        d = m[i][i]
+        sig += 1 if d > 0 else -1
+        for j in range(i + 1, n):
+            f = m[j][i] / d
+            if f:
+                for k in range(n):
+                    m[j][k] -= f * m[i][k]
+                for row in m:
+                    row[j] -= f * row[i]
+    return sig
+
+
+def exact_lt_signature(entries, u: Fraction) -> int:
+    """Levine-Tristram signature at u = tan(theta/2) = p/q, exactly.
+
+    The form (1-w)V + (1-conj w)V^T is sin(theta)/q times the Hermitian
+    pS - iqK (S = V+V^T, K = V-V^T), whose signature is half that of the
+    real symmetric [[pS, qK], [-qK, pS]].
+    """
+    n = len(entries)
+    p, q = u.numerator, u.denominator
+    s = [[entries[i][j] + entries[j][i] for j in range(n)] for i in range(n)]
+    k = [[entries[i][j] - entries[j][i] for j in range(n)] for i in range(n)]
+    real = ([[p * s[i][j] for j in range(n)] + [q * k[i][j] for j in range(n)]
+             for i in range(n)]
+            + [[-q * k[i][j] for j in range(n)] + [p * s[i][j] for j in range(n)]
+               for i in range(n)])
+    twice = symmetric_signature(real)
+    assert twice % 2 == 0
+    return twice // 2
+
+
+def rational_in_arc(lo: float, hi: float, at: float) -> Fraction:
+    """A rational u = tan(theta/2) with theta inside (lo, hi), near the
+    point ``at`` of the way along it."""
+    target = math.tan((lo + at * (hi - lo)) / 2)
+    for bound in (10 ** 3, 10 ** 6, 10 ** 12):
+        u = Fraction(target).limit_denominator(bound)
+        if lo < 2 * math.atan(u) < hi:
+            return u
+    return Fraction(target)
+
+
+def family_seifert(rng: random.Random, genus: int, bound: int) -> SeifertMatrix:
+    """V = M + U: M symmetric with entries in [-bound, bound], U the block
+    sum of [[0, 1], [0, 0]], so V - V^T is unimodular."""
+    n = 2 * genus
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.randint(-bound, bound)
+    for b in range(genus):
+        m[2 * b][2 * b + 1] += 1
+    return SeifertMatrix(tuple(tuple(r) for r in m))
 
 
 def random_canonical(rng: random.Random, max_degree: int, coeff_bound: int = 9) -> LaurentPoly:

@@ -13,6 +13,7 @@ import math
 import os
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -214,7 +215,8 @@ def test_criterion_7_jump_enhancement():
     profile = SignatureProfile(
         arcs=(((0.0, third), 0), ((third, math.pi), 4)),
         jump_points=((third, 4, 2),),
-        endpoint_value_at_pi=4)
+        endpoint_value_at_pi=4,
+        jump_brackets=((Fraction(99, 100), Fraction(101, 100)),))
     req = enhanced_required_factors(fac, profile)
     assert gc_poly_lower_bound(req) == 4
 

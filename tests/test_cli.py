@@ -30,13 +30,14 @@ sys.exit(status)
 
 
 def _run_fresh(argv):
-    """(exit code, stdout, numpy imported) of ``kcg argv`` in a new process."""
+    """(exit code, stdout, stderr lines, numpy imported) of ``kcg argv``
+    in a new process."""
     path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run([sys.executable, "-c", _RUN_MAIN, *argv], env=env,
                           capture_output=True, text=True, timeout=120, check=False)
-    *_, loaded = proc.stderr.splitlines()
-    return proc.returncode, proc.stdout, loaded == "True"
+    *err, loaded = proc.stderr.splitlines()
+    return proc.returncode, proc.stdout, err, loaded == "True"
 
 
 def _readme_output(command):
@@ -109,19 +110,25 @@ class TestInvariantsCommand:
         assert main(["invariants", "--seifert", "1,0;0,1"]) == 1
         assert "not a knot Seifert matrix" in capsys.readouterr().err
 
-    # 10**400 has no double: the first matrix overflows in root isolation,
-    # the second (knot polynomial 1, no roots) in the signature sample
-    @pytest.mark.parametrize("corner", ["1", "0"])
-    def test_entry_beyond_float_range_exits_1(self, corner, capsys):
-        assert main(["invariants", f"--seifert={10**400},1;0,{corner}"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("kcg: ")
-        assert "exceed the float range" in err
-        assert err.count("\n") == 1
+    # the polynomial is 10**24 (1-t)^2 + t (or 10**400 (1-t)^2 + t): one
+    # root at theta of about 1e-12 (1e-200) where the signature rises to 2
+    @pytest.mark.parametrize("matrix", [f"{10**12},1;0,{10**12}", f"{10**400},1;0,1"],
+                             ids=["1e12", "1e400"])
+    def test_root_near_one_gets_its_jump(self, matrix):
+        status, out, err, _ = _run_fresh(["invariants", f"--seifert={matrix}"])
+        assert (status, err) == (0, [])
+        assert out.splitlines()[1:] == ["signature\t2", "jump\t0.000000000\t2\t1"]
+
+    # det(V - tV^T) = t: no roots, and V + V^T is indefinite
+    @pytest.mark.parametrize("entry", [10**400, 10**308], ids=["1e400", "1e308"])
+    def test_entry_beyond_float_range(self, entry):
+        status, out, err, _ = _run_fresh(["invariants", f"--seifert={entry},1;0,0"])
+        assert (status, err) == (0, [])
+        assert out.splitlines() == ["alexander\t1", "signature\t0"]
 
 
 class TestImportCost:
-    """numpy is imported by the first float signature sample, not before."""
+    """No kcg command imports numpy."""
 
     @pytest.mark.parametrize("argv", [
         ["factor", "--poly", "1;-9;28;-39;28;-9;1"],
@@ -131,17 +138,17 @@ class TestImportCost:
          "--candidates", SMALL_CSV],
     ], ids=["factor", "bound", "census", "match"])
     def test_rows_without_a_matrix_never_import_numpy(self, argv):
-        status, out, numpy_loaded = _run_fresh(argv)
+        status, out, _, numpy_loaded = _run_fresh(argv)
         assert status == 0
         assert out
         assert not numpy_loaded
 
     def test_invariants_still_prints_the_readme_lines(self):
-        status, out, numpy_loaded = _run_fresh(["invariants", "--seifert=-1,1;0,-1"])
+        status, out, _, numpy_loaded = _run_fresh(["invariants", "--seifert=-1,1;0,-1"])
         assert status == 0
         assert out.splitlines() == _readme_output(
             'kcg invariants "--seifert=-1,1;0,-1"')
-        assert numpy_loaded
+        assert not numpy_loaded
 
 
 class TestBoundCommand:
@@ -196,6 +203,12 @@ class TestCensusCommand:
         row = next(l for l in text.split("\n") if l.startswith("11a_297\t"))
         assert row.split("\t")[5].startswith("5_2")
 
+    def test_table_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes(b"\xff\xfen\x00a\x00m\x00e\x00")
+        assert main(["census", "--table", str(path)]) == 1
+        assert capsys.readouterr().err == f"kcg: cannot read table {path}: not UTF-8\n"
+
 
 class TestMatchCommand:
     def test_match_output(self, concordant_csv, reference_csv, capsys):
@@ -211,6 +224,17 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["factor", "--poly", "1;-1;1", "--bogus"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["match", "--name", "11n_152", "--table", UNKNOWN_CSV, "--candidates", SMALL_CSV],
+        ["census", "--table", UNKNOWN_CSV, "--candidates", SMALL_CSV],
+    ], ids=["match", "census"])
+    def test_max_summands_below_one(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, f"--max-summands={value}"])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as err:

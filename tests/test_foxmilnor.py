@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,16 +22,22 @@ def P(text):
     return poly_from_text(text)
 
 
+def bracket(angle):
+    """A rational interval of x = 2cos(theta) around the angle, 1/50 wide."""
+    x = Fraction(round(200 * math.cos(angle)), 100)
+    return (x - Fraction(1, 100), x + Fraction(1, 100))
+
+
 def profile_with_jump(angle, jump):
     half = jump // 2
     return SignatureProfile(
         arcs=(((0.0, angle), 0), ((angle, PI), jump)),
         jump_points=((angle, jump, half),),
-        endpoint_value_at_pi=jump)
+        endpoint_value_at_pi=jump, jump_brackets=(bracket(angle),))
 
 
 FLAT_PROFILE = SignatureProfile(arcs=(((0.0, PI), 0),), jump_points=(),
-                                endpoint_value_at_pi=0)
+                                endpoint_value_at_pi=0, jump_brackets=())
 
 
 class TestResidual:
@@ -88,7 +95,8 @@ class TestEnhancement:
     def test_no_jump_no_enhancement(self):
         prof = SignatureProfile(arcs=(((0.0, PI / 3), 0), ((PI / 3, PI), 0)),
                                 jump_points=((PI / 3, 0, 0),),
-                                endpoint_value_at_pi=0)
+                                endpoint_value_at_pi=0,
+                                jump_brackets=(bracket(PI / 3),))
         req = enhanced_required_factors(self.F_QUIET, prof)
         assert req.residual == req.enhanced == P("4;-7;4")
 

@@ -6,18 +6,30 @@ precision, no floats.
 
 Factorization follows the classical route: Yun square-free decomposition,
 Berlekamp factorization modulo the first usable prime, quadratic Hensel
-lifting up to a Mignotte-style coefficient bound, then exhaustive subset
-recombination with exact trial division.  Degrees in this package stay
-small (census polynomials top out at degree 12), so the exponential
-recombination step never matters; correctness and reproducibility do, so
-every choice below (prime scan order, factor ordering, subset order) is
-deterministic.
+lifting up to a Mignotte-style coefficient bound, then subset
+recombination with exact trial division.  Recombination is exponential in
+the number of modular factors, so it counts its subset trials and refuses
+past ``RECOMBINATION_BUDGET``: a refusal, never a hang.
+
+Knot polynomials are palindromic, and a palindromic h of degree 2m with
+h(1) h(-1) != 0 is factored at half the degree through its trace
+polynomial D, t^-m h(t) = D(t + 1/t) (:func:`to_trace`): D is factored,
+and each irreducible d is lifted back to t^deg(d) d(t + 1/t)
+(:func:`from_trace`).  A lift is irreducible or +-f(t) f*(t) with f* the
+reciprocal of f; only a lift that passes the exact test for the latter
+(:func:`_may_split`) is recombined again.  Every choice below (prime scan
+order, factor ordering, subset order) is deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
+
+from .errors import PolynomialError
+
+#: Subset trials one recombination may make before it refuses the input.
+RECOMBINATION_BUDGET = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +206,40 @@ def squarefree_part(f):
     for part, _ in squarefree_decomposition(f):
         out = mul(out, part)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the trace transform of palindromic polynomials
+
+
+def to_trace(h):
+    """D with t^-m h(t) = D(t + 1/t), for palindromic h of degree 2m:
+    t^-m h(t) is a sum of t^k + t^-k = P_k(x), P_0 = 2, P_1 = x,
+    P_(k+1) = x P_k - P_(k-1)."""
+    m = len(h) // 2
+    out, prev, cur = [h[m]], [2], [0, 1]
+    for c in h[m + 1:]:
+        out = add(out, mul_ground(cur, c))
+        prev, cur = cur, sub([0, *cur], prev)
+    return out
+
+
+def from_trace(d):
+    """t^deg(d) d(t + 1/t), palindromic of degree 2 deg(d), by Horner's
+    rule: t^(j+1) (H x + c) = t^j H (t^2 + 1) + c t^(j+1)."""
+    out = [d[-1]]
+    for j, c in enumerate(reversed(d[:-1]), 1):
+        out = add(mul(out, [1, 0, 1]), [0] * j + [c])
+    return out
+
+
+def _may_split(d):
+    """Whether the lift of an irreducible d can be +-f(t) f*(t) with
+    f* = t^deg(f) f(1/t).  Then d(2) = +-f(1)^2 and d(-2) = +-f(-1)^2 with
+    one sign: both values need that sign and square absolute values."""
+    a, b = eval_at(d, 2), eval_at(d, -2)
+    return ((a > 0) == (b > 0) and math.isqrt(abs(a)) ** 2 == abs(a)
+            and math.isqrt(abs(b)) ** 2 == abs(b))
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +603,15 @@ def zassenhaus(f):
     out = []
     cur = list(f)
     size = 1
+    trials = 0
     while 2 * size <= len(remaining):
         found = False
         for subset in combinations(remaining, size):
+            trials += 1
+            if trials > RECOMBINATION_BUDGET:
+                raise PolynomialError(
+                    f"factoring a degree-{n} part needs more than "
+                    f"{RECOMBINATION_BUDGET} recombination trials")
             cand = [cur[-1]]
             for i in subset:
                 cand = mul(cand, lifted[i])
@@ -587,11 +639,20 @@ def factor_primitive(f):
     """(irreducible, multiplicity) pairs for primitive f, lc > 0, deg >= 1.
 
     Factors come back sorted by (degree, coefficient tuple), which keeps
-    every downstream artifact byte reproducible.
+    every downstream artifact byte reproducible.  A palindromic f with
+    f(1) f(-1) != 0 (odd degree would give f(-1) = 0) is factored through
+    its trace polynomial, whose square-free parts lift to those of f.
     """
     out = []
-    for part, mult in squarefree_decomposition(f):
-        for w in zassenhaus(part):
-            out.append((w, mult))
+    if f == f[::-1] and eval_at(f, 1) and eval_at(f, -1):
+        for part, mult in squarefree_decomposition(to_trace(f)):
+            for d in zassenhaus(part):
+                lift = from_trace(d)
+                for w in zassenhaus(lift) if _may_split(d) else [lift]:
+                    out.append((w, mult))
+    else:
+        for part, mult in squarefree_decomposition(f):
+            for w in zassenhaus(part):
+                out.append((w, mult))
     out.sort(key=lambda item: (degree(item[0]), tuple(item[0])))
     return out

@@ -92,17 +92,37 @@ def _cmd_match(args) -> int:
     return 0
 
 
-class _AtLeastOne(argparse.Action):
-    """Stores an int option; a value below 1 is a usage error."""
+class _One(argparse.Action):
+    """Stores an option's one value.  argparse drops a value that is
+    exactly "--" (``--poly=--``) and hands over an empty list instead,
+    which is a usage error here."""
 
     def __call__(self, parser, namespace, value, option_string=None):
-        if value < 1:
-            raise argparse.ArgumentError(self, f"must be at least 1: {value}")
+        if isinstance(value, list):
+            raise argparse.ArgumentError(self, "expected one argument")
         setattr(namespace, self.dest, value)
 
 
+class _AtLeastOne(_One):
+    """Stores an int option; a value below 1 is a usage error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        super().__call__(parser, namespace, value, option_string)
+        if value < 1:
+            raise argparse.ArgumentError(self, f"must be at least 1: {value}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and those of its subcommands, whose options
+    store through :class:`_One` by default."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _One)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kcg",
         description="Concordance-genus bounds and census tools for knot tables.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from . import _intpoly
 from .errors import PolynomialError
 
-#: Hard cap on factorization degree; census polynomials stay below 12.
+#: Hard cap on factorization degree.  Work is capped too, by
+#: ``_intpoly.RECOMBINATION_BUDGET``: an input past either is refused.
 FACTOR_DEGREE_CAP = 64
 
 
@@ -159,6 +160,11 @@ def factor(p: LaurentPoly) -> Factorization:
 
     Constant prime factors of the content are emitted as degree-0
     factors, so expanding the result always reproduces the input exactly.
+    A palindromic primitive part that vanishes at neither 1 nor -1, as
+    every knot polynomial's, is factored at half its degree through its
+    trace polynomial (see :mod:`kcg._intpoly`).  An input whose
+    recombination needs too many trials is refused with
+    :class:`PolynomialError`.
     """
     if p.degree > FACTOR_DEGREE_CAP:
         raise PolynomialError("degree limit exceeded")

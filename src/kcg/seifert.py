@@ -202,22 +202,17 @@ def _lt_at(V: SeifertMatrix, p: int, q: int) -> int:
 # unit-circle roots
 
 
-def _trace_poly(p: LaurentPoly) -> list[int]:
-    """Square-free D whose roots in (-2, 2) are the x = t + 1/t = 2cos(theta)
-    of the unit-circle roots t = e^(i theta), 0 < theta < pi, of p: those
-    lie in h = gcd(w, w reversed), w the square-free part of p, which
-    without t - 1 and t + 1 is palindromic of degree 2m; t^-m h(t) is a sum
-    of t^k + t^-k = P_k(x), P_0 = 2, P_1 = x, P_(k+1) = x P_k - P_(k-1)."""
+def _circle_part(p: LaurentPoly) -> list[int]:
+    """Palindromic square-free h that holds the unit-circle roots of p
+    other than 1 and -1: they lie in gcd(w, w reversed), w the
+    square-free part of p.  The roots in (-2, 2) of its trace polynomial
+    are the x = t + 1/t = 2cos(theta) of the roots t = e^(i theta),
+    0 < theta < pi."""
     w = _intpoly.squarefree_part(list(p.coeffs))
     h = _intpoly.gcd(w, w[::-1])
     for linear in ([-1, 1], [1, 1]):
         h = _intpoly.try_div(h, linear) or h
-    m = len(h) // 2
-    out, prev, cur = [h[m]], [2], [0, 1]
-    for c in h[m + 1:]:
-        out = _intpoly.add(out, _intpoly.mul_ground(cur, c))
-        prev, cur = cur, _intpoly.sub([0, *cur], prev)
-    return out
+    return h
 
 
 def _angle(x: Fraction) -> float:
@@ -234,7 +229,7 @@ def _root_brackets(p: LaurentPoly) -> list[tuple[Fraction, Fraction]]:
     hi.  (-2, 2) is halved until each part holds one root, which is then
     bisected until the ends of its bracket give the same double angle.
     """
-    d = _trace_poly(p)
+    d = _intpoly.to_trace(_circle_part(p))
     seq = [d, _intpoly.derivative(d)]
     while _intpoly.degree(seq[-1]) > 0:
         g = seq[-1]
@@ -313,7 +308,7 @@ def roots_in_brackets(p: LaurentPoly, brackets) -> tuple[bool, ...]:
     """Per bracket of ``SignatureProfile.jump_brackets``, whether p has
     the unit-circle root it isolates: whether the trace polynomial of p
     changes sign across it."""
-    d = _trace_poly(p)
+    d = _intpoly.to_trace(_circle_part(p))
     return tuple((_intpoly.eval_at(d, lo) > 0) != (_intpoly.eval_at(d, hi) > 0)
                  for lo, hi in brackets)
 

@@ -62,6 +62,62 @@ def divides_exactly(divisor, dividend):
     return not any(r)
 
 
+def exact_quotient(dividend, divisor):
+    """Schoolbook quotient of integer coefficient lists by a divisor with
+    leading coefficient +-1, asserting that the remainder vanishes."""
+    r = list(dividend)
+    q = [0] * (len(r) - len(divisor) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + len(divisor) - 1] * divisor[-1]
+        q[k] = c
+        for i, d in enumerate(divisor):
+            r[k + i] -= c * d
+    assert not any(r), "inexact division"
+    return q
+
+
+def cyclotomic(n: int) -> list[int]:
+    """Phi_n as a coefficient list: t^n - 1 over the Phi_d, d | n, d < n."""
+    out = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            out = exact_quotient(out, cyclotomic(d))
+    return out
+
+
+def torus_cyclotomic_indices(p: int, q: int) -> list[int]:
+    """The d with Delta(T(p, q)) = prod Phi_d: d | pq, d divides neither."""
+    return [d for d in range(1, p * q + 1)
+            if p * q % d == 0 and p % d and q % d]
+
+
+def torus_alexander(p: int, q: int) -> list[int]:
+    """(t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)) by long division."""
+    num = conv_mul([-1] + [0] * (p * q - 1) + [1], [-1, 1])
+    den = conv_mul([-1] + [0] * (p - 1) + [1], [-1] + [0] * (q - 1) + [1])
+    return exact_quotient(num, den)
+
+
+def swinnerton_dyer(primes) -> list[int]:
+    """prod (x +- sqrt(p_1) +- ... +- sqrt(p_k)), irreducible of degree
+    2^k: P(x) -> P(x + sqrt p) P(x - sqrt p) = A^2 - p B^2, where
+    P(x + sqrt p) = A + B sqrt p is found by Horner's rule in Z[sqrt p]."""
+
+    def plus(f, g):
+        n = max(len(f), len(g))
+        return [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)
+                for i in range(n)]
+
+    poly = [0, 1]
+    for p in primes:
+        a, b = [], []
+        for c in reversed(poly):
+            # (a + b sqrt p)(x + sqrt p) + c
+            a, b = plus(plus([0, *a], [p * x for x in b]), [c]), plus(a, [0, *b])
+        poly = plus(conv_mul(a, a), [-p * x for x in conv_mul(b, b)])
+    return poly
+
+
 def eig_signature(entries, theta):
     """Floating-point signature of (1-w)V + (1-conj(w))V^T at w=e^(i theta)."""
     v = np.array(entries, dtype=float)

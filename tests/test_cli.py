@@ -12,6 +12,7 @@ import kcg
 from kcg.cli import main
 from kcg.tabledata import (concordant_fixture, reference_table, serialize,
                            unknown_fixture)
+from oracles import swinnerton_dyer
 
 PACKAGE = Path(kcg.__file__).resolve().parent
 UNKNOWN_CSV = str(PACKAGE / "data" / "unknown_11.csv")
@@ -38,6 +39,14 @@ def _run_fresh(argv):
                           capture_output=True, text=True, timeout=120, check=False)
     *err, loaded = proc.stderr.splitlines()
     return proc.returncode, proc.stdout, err, loaded == "True"
+
+
+def _run_module(argv):
+    """``python -m kcg argv`` in a new process."""
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run([sys.executable, "-m", "kcg", *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
 
 
 def _readme_output(command):
@@ -89,6 +98,13 @@ class TestFactorCommand:
         err = capsys.readouterr().err
         assert err.startswith("kcg: ")
         assert err.count("\n") == 1
+
+    def test_recombination_budget_refusal_exits_1(self, capsys):
+        sd = ";".join(map(str, swinnerton_dyer([2, 3, 5, 7, 11])))
+        assert main(["factor", "--poly", sd]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"kcg: .*recombination trials\n", captured.err)
 
     def test_byte_deterministic(self, capsys):
         main(["factor", "--poly", "4;-15;30;-37;30;-15;4"])
@@ -242,17 +258,26 @@ class TestUsageErrors:
         assert err.value.code == 2
 
     def test_module_entry_point(self):
-        import os
-        import pathlib
-        import subprocess
-        import sys
-
-        import kcg
-        src = str(pathlib.Path(kcg.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "kcg", "factor", "--poly", "1;-1;1"],
-            capture_output=True, text=True, env=env)
+        proc = _run_module(["factor", "--poly", "1;-1;1"])
         assert proc.returncode == 0
         assert proc.stdout == "(1;-1;1)^1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["factor", "--poly=--"],
+        ["invariants", "--seifert=--"],
+        ["bound", "--name=--", "--table", UNKNOWN_CSV],
+        ["census", "--table=--"],
+        ["census", "--table", UNKNOWN_CSV, "--max-summands=--"],
+        ["match", "--name", "11n_152", "--table", UNKNOWN_CSV, "--candidates=--"],
+    ], ids=["factor", "invariants", "bound", "census", "census-max-summands", "match"])
+    def test_double_dash_value_is_refused_without_traceback(self, argv):
+        # depending on the argparse release, "--" arrives as the value (a
+        # domain error, exit 1) or is dropped (a usage error, exit 2)
+        proc = _run_module(argv)
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        if proc.returncode == 1:
+            assert re.fullmatch(r"kcg: [^\n]*\n", proc.stderr)
+        else:
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("usage: kcg ")

@@ -1,0 +1,182 @@
+"""factor against closed forms: cyclotomic products of torus knots,
+Swinnerton-Dyer polynomials and random products of known irreducibles.
+
+Expected factor multisets come from the oracles, never from kcg: the
+canonical form is reproduced with ``reverse_and_normalize`` and products
+with ``conv_mul``.
+"""
+
+import functools
+import math
+import time
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kcg.errors import PolynomialError
+from kcg.laurent import LaurentPoly, factor
+from oracles import (conv_mul, cyclotomic, reverse_and_normalize, swinnerton_dyer,
+                     torus_alexander, torus_cyclotomic_indices)
+
+TORUS = [(p, q) for p in range(2, 8) for q in range(p + 1, 9) if math.gcd(p, q) == 1]
+
+
+def canon(cs):
+    """Oracle canonical form: no zero ends, positive constant term."""
+    return tuple(reverse_and_normalize(list(reversed(cs))))
+
+
+def product(factors):
+    """conv_mul product of coefficient lists, in canonical form."""
+    return canon(functools.reduce(conv_mul, factors, [1]))
+
+
+def assert_factors(coeffs, expected):
+    """factor(coeffs) is the multiset ``expected`` (canonical tuple ->
+    multiplicity), and its factors multiply back to the input."""
+    p = LaurentPoly(canon(coeffs))
+    got = factor(p).factors
+    assert {q.coeffs: m for q, m in got} == dict(expected)
+    assert product([list(q.coeffs) for q, m in got for _ in range(m)]) == p.coeffs
+
+
+def torus_multiset(knots):
+    """Cyclotomic factor multiset of a connected sum of torus knots."""
+    return Counter(canon(cyclotomic(d)) for p, q in knots
+                   for d in torus_cyclotomic_indices(p, q))
+
+
+class TestTorusKnots:
+    def test_oracle_agrees_with_the_closed_form(self):
+        for p, q in TORUS:
+            cyclo = [cyclotomic(d) for d in torus_cyclotomic_indices(p, q)]
+            assert product(cyclo) == canon(torus_alexander(p, q))
+
+    @pytest.mark.parametrize("p,q", TORUS, ids=[f"T{p}_{q}" for p, q in TORUS])
+    def test_factors_are_the_cyclotomic_product(self, p, q):
+        assert_factors(torus_alexander(p, q), torus_multiset([(p, q)]))
+
+    @pytest.mark.parametrize("knots", [
+        [(2, 3), (2, 3)],
+        [(2, 3), (3, 4)],
+        [(2, 3), (2, 3), (2, 3), (2, 5), (2, 5)],
+        [(3, 4), (3, 5), (2, 5), (4, 5)],
+        [(2, 7), (3, 7), (2, 7), (5, 7)],
+        [(3, 8), (5, 8), (2, 3), (2, 3)],
+    ], ids=["T23^2", "T23+T34", "T23^3+T25^2", "T34+T35+T25+T45",
+            "T27^2+T37+T57", "T38+T58+T23^2"])
+    def test_connected_sums_and_powers(self, knots):
+        delta = functools.reduce(conv_mul, (torus_alexander(p, q) for p, q in knots))
+        assert_factors(delta, torus_multiset(knots))
+
+
+PAIR = ((2, -1), (1, -2))  # t - 2 and 2t - 1, each the other's reciprocal
+PHI6 = canon(cyclotomic(6))
+GOLDEN = (1, -3, 1)  # t^2 - 3t + 1, symmetric, real roots
+
+
+class TestTraceRouteEdges:
+    @pytest.mark.parametrize("factors", [
+        [PAIR[0], PAIR[1]],
+        [PAIR[0], PAIR[1], PAIR[0], PAIR[1], PHI6],
+        [PAIR[0], PAIR[1], GOLDEN, (3, -2), (2, -3)],
+        [canon(cyclotomic(12))],  # its trace x^2 - 3 has square values at +-2
+    ], ids=["pair", "pair^2*phi6", "two-pairs*golden", "phi12"])
+    def test_palindromic_inputs(self, factors):
+        assert_factors(product(factors), Counter(factors))
+
+    @pytest.mark.parametrize("factors", [
+        [(1, -1), (1, -1)],  # the lift of x - 2
+        [(1, 1), (1, 1)],  # the lift of x + 2
+        [(1, -1), (1, -1), GOLDEN],
+        [(1, 1), (1, 1), PHI6, PHI6],
+        [(1, -1), (1, -1), (1, 1), (1, 1)],
+    ], ids=["(t-1)^2", "(t+1)^2", "(t-1)^2*golden", "(t+1)^2*phi6^2",
+            "(t-1)^2(t+1)^2"])
+    def test_roots_at_plus_or_minus_one(self, factors):
+        assert_factors(product(factors), Counter(factors))
+
+    @pytest.mark.parametrize("factors", [
+        [(1, 1), GOLDEN],
+        [(1, 1), (1, 1), (1, 1)],
+        [(1, 1), PAIR[0], PAIR[1]],
+    ], ids=["(t+1)*golden", "(t+1)^3", "(t+1)*pair"])
+    def test_palindromic_odd_degree(self, factors):
+        assert_factors(product(factors), Counter(factors))
+
+    @pytest.mark.parametrize("factors", [
+        [(1, -1), GOLDEN],
+        [(1, -1), (1, 1)],
+        [(1, -1), PHI6, PAIR[0], PAIR[1]],
+    ], ids=["(t-1)*golden", "t^2-1", "(t-1)*phi6*pair"])
+    def test_antipalindromic(self, factors):
+        coeffs = product(factors)
+        assert coeffs == tuple(-c for c in reversed(coeffs))
+        assert_factors(coeffs, Counter(factors))
+
+    def test_nonzero_content(self):
+        assert_factors([3 * c for c in GOLDEN], {(3,): 1, GOLDEN: 1})
+        pair = product(PAIR)
+        assert_factors([12 * c for c in pair], {(2,): 2, (3,): 1, PAIR[0]: 1, PAIR[1]: 1})
+
+    @pytest.mark.parametrize("factors", [
+        [(2, -1), (1, 1, 1)],
+        [(2, 1, 3)],
+        [(2, 1, 3), (2, 1, 3), (1, -2)],
+        [(1, 1, 0, 1), (1, -1)],
+    ], ids=["(t-2)*phi3", "3t^2+t+2", "(3t^2+t+2)^2(1-2t)", "(t^3+t+1)(t-1)"])
+    def test_non_symmetric(self, factors):
+        assert_factors(product(factors), Counter(factors))
+
+
+class TestRecombinationBudget:
+    def test_degree_16_swinnerton_dyer_still_factors(self):
+        coeffs = canon(swinnerton_dyer([2, 3, 5, 7]))
+        assert len(coeffs) == 17
+        assert_factors(coeffs, {coeffs: 1})
+
+    def test_degree_32_swinnerton_dyer_is_refused_in_time(self):
+        p = LaurentPoly(canon(swinnerton_dyer([2, 3, 5, 7, 11])))
+        assert p.degree == 32
+        start = time.perf_counter()
+        with pytest.raises(PolynomialError, match="recombination trials"):
+            factor(p)
+        assert time.perf_counter() - start < 5
+
+    def test_palindromic_lift_of_degree_16_factors(self):
+        # t^16 SD(t + 1/t), by the closed form of the trace substitution
+        sd = swinnerton_dyer([2, 3, 5, 7])
+        lift = [0] * 33
+        for k, c in enumerate(sd):
+            for j in range(k + 1):
+                lift[16 - k + 2 * j] += c * math.comb(k, j)
+        p = LaurentPoly(canon(lift))
+        got = factor(p).factors
+        assert product([list(q.coeffs) for q, m in got for _ in range(m)]) == p.coeffs
+
+
+# Known irreducibles, drawn in blocks so that palindromic products, which
+# take the trace route, come up often: a reciprocal pair is one block.
+BLOCKS = (
+    # symmetric
+    ((1, -3, 1),), ((2, -3, 2),), ((4, -7, 4),), ((1, -3, 5, -3, 1),),
+    ((2, -6, 7, -6, 2),), ((1, -5, 7, -5, 1),),
+    # reciprocal pairs
+    ((2, -1), (1, -2)), ((3, -2), (2, -3)), ((1, -2, 3, -1), (1, -3, 2, -1)),
+    ((1, 1, -1), (1, -1, -1)),
+    # cyclotomic
+    *((canon(cyclotomic(n)),) for n in (1, 2, 3, 4, 5, 6, 8, 10, 12)),
+    # neither
+    ((2, 1, 3),), ((1, 1, 0, 1),), ((1, 0, 0, 2),), ((5, -2),), ((2, -1),),
+    # constants
+    ((2,),), ((3,),),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=2000, database=None)
+@given(st.lists(st.sampled_from(BLOCKS), min_size=1, max_size=6))
+def test_factor_recovers_any_product_of_known_irreducibles(blocks):
+    factors = [q for block in blocks for q in block]
+    assert_factors(product(factors), Counter(factors))

@@ -16,7 +16,7 @@ from .foxmilnor import (RequiredFactors, enhanced_required_factors,
 from .laurent import (Factorization, LaurentPoly, canonicalize, eval_int,
                       factor, is_symmetric, mul, poly_from_text, reciprocal)
 from .seifert import (SeifertMatrix, SignatureProfile, alexander,
-                      lt_signature, murasugi_signature, signature_profile,
+                      murasugi_signature, signature_profile,
                       unit_circle_root_angles)
 from .tabledata import (CandidateMatch, CensusReport, KnotTable, census,
                         match_candidates, parse_table, reference_table,
@@ -28,7 +28,7 @@ __all__ = [
     "RequiredFactors", "SeifertMatrix", "SignatureProfile", "alexander",
     "canonicalize", "census", "classify", "combine",
     "enhanced_required_factors", "eval_int", "factor", "gc_bounds",
-    "gc_poly_lower_bound", "is_symmetric", "lt_signature", "match_candidates",
+    "gc_poly_lower_bound", "is_symmetric", "match_candidates",
     "mul", "murasugi_signature", "parse_table", "poly_from_text",
     "reciprocal", "reference_table", "report_tsv",
     "residual", "serialize", "signature_profile", "slice_obstruction",

@@ -250,39 +250,20 @@ def gf_trunc(f, p):
     return strip([c % p for c in f])
 
 
-def gf_neg(f, p):
-    return [(-c) % p for c in f]
-
-
 def gf_add(f, g, p):
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return strip(out)
+    return gf_trunc(add(f, g), p)
 
 
 def gf_sub(f, g, p):
-    return gf_add(f, gf_neg(g, p), p)
+    return gf_trunc(sub(f, g), p)
 
 
 def gf_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return strip(out)
+    return gf_trunc(mul(f, g), p)
 
 
 def gf_mul_ground(f, c, p):
-    c %= p
-    if c == 0:
-        return []
-    return strip([(a * c) % p for a in f])
+    return gf_trunc(mul_ground(f, c), p)
 
 
 def gf_divmod(f, g, p):
@@ -353,7 +334,7 @@ def gf_pow_mod(f, e, mod, p):
 
 
 def gf_is_squarefree(f, p):
-    fd = gf_trunc([i * c for i, c in enumerate(f)][1:], p)
+    fd = gf_trunc(derivative(f), p)
     if not fd:
         return False
     return degree(gf_gcd(f, fd, p)) == 0
@@ -457,32 +438,17 @@ def trunc_sym(f, m):
     return strip(out)
 
 
-def _divmod_monic_mod(f, g, m):
-    """divmod by monic g with coefficients taken modulo m."""
-    df, dg = degree(f), degree(g)
-    if df < dg:
-        return [], strip([c % m for c in f])
-    rem = [c % m for c in f]
-    q = [0] * (df - dg + 1)
-    for k in range(df - dg, -1, -1):
-        t = rem[k + dg] % m
-        q[k] = t
-        if t:
-            for i, gc in enumerate(g):
-                rem[k + i] = (rem[k + i] - t * gc) % m
-    return strip(q), strip(rem)
-
-
 def _hensel_step(m, f, g, h, s, t):
     """One quadratic lifting step: from f = g h (mod m), s g + t h = 1
     (mod m), h monic, to the same congruences mod m**2."""
     mm = m * m
     e = trunc_sym(sub(f, mul(g, h)), mm)
-    q, r = _divmod_monic_mod(mul(s, e), h, mm)
+    # gf_divmod only inverts the leading coefficient, 1 modulo any mm
+    q, r = gf_divmod(mul(s, e), h, mm)
     big_g = trunc_sym(add(g, add(mul(t, e), mul(q, g))), mm)
     big_h = trunc_sym(add(h, r), mm)
     b = trunc_sym(sub(add(mul(s, big_g), mul(t, big_h)), [1]), mm)
-    c, d = _divmod_monic_mod(mul(s, b), big_h, mm)
+    c, d = gf_divmod(mul(s, b), big_h, mm)
     big_s = trunc_sym(sub(s, d), mm)
     big_t = trunc_sym(sub(t, add(mul(t, b), mul(c, big_g))), mm)
     return big_g, big_h, big_s, big_t

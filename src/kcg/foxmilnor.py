@@ -88,7 +88,7 @@ def enhanced_required_factors(fac: Factorization,
     enhanced = res
     if profile is not None:
         owns = {q: roots_in_brackets(q, profile.jump_brackets) for q, _ in fac.factors}
-        jumps = [jump for _angle, jump, _avg in profile.jump_points]
+        jumps = [b - a for a, b in zip(profile.values, profile.values[1:])]
         if any(jump and not any(o[i] for o in owns.values())
                for i, jump in enumerate(jumps)):
             raise ProfileError("inconsistent profile")

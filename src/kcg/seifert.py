@@ -9,6 +9,8 @@ the integer Hermitian p(V+V^T) - iq(V-V^T), whose signature comes from
 fraction-free elimination over the Gaussian integers (p/q = 1/0: Murasugi).
 Unit-circle roots e^(i theta) are the roots x = 2cos(theta) in (-2, 2) of
 the half-degree trace polynomial, isolated by Sturm sequences on rationals.
+The signature profile keeps only the exact results, the rational root
+brackets and the value on each arc; its angles are read off the brackets.
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ from functools import cached_property
 from . import _intpoly
 from .errors import SeifertError
 from .laurent import LaurentPoly, canonicalize, eval_int
-
-# lt_signature reads a float angle within this of a root angle as that
-# root: math.pi / 3 is one ulp away from the trefoil's root.
-ROOT_ANGLE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -85,18 +83,33 @@ class SeifertMatrix:
 class SignatureProfile:
     """Piecewise-constant signature function on (0, pi).
 
-    ``arcs`` holds (open interval, even value) pairs covering (0, pi)
-    between consecutive unit-circle roots of the knot polynomial;
-    ``jump_points`` holds (angle, jump, averaged value) per root, where
-    the averaged value is the mean of the two adjacent arc values.
-    ``jump_brackets`` holds, per root, a rational interval (lo, hi) of
+    ``jump_brackets`` holds, per unit-circle root of the knot polynomial
+    by increasing angle, a rational interval (lo, hi) of
     x = 2cos(theta) = t + 1/t that contains that root and no other.
+    ``values`` holds the even signature on each arc between consecutive
+    roots, one more entry than there are roots: the first is 0 and the
+    last is the Murasugi signature.
     """
 
-    arcs: tuple[tuple[tuple[float, float], int], ...]
-    jump_points: tuple[tuple[float, int, int], ...]
-    endpoint_value_at_pi: int
+    values: tuple[int, ...]
     jump_brackets: tuple[tuple[Fraction, Fraction], ...]
+
+    @property
+    def endpoint_value_at_pi(self) -> int:
+        return self.values[-1]
+
+    @property
+    def jump_points(self) -> tuple[tuple[float, int, int], ...]:
+        """(angle, jump, averaged value) per root, where the averaged
+        value is the mean of the two adjacent arc values."""
+        return tuple((_angle(lo), b - a, (a + b) // 2) for (lo, _), a, b
+                     in zip(self.jump_brackets, self.values, self.values[1:]))
+
+    @property
+    def arcs(self) -> tuple[tuple[tuple[float, float], int], ...]:
+        """(open interval, value) pairs covering (0, pi)."""
+        ends = (0.0, *(_angle(lo) for lo, _ in self.jump_brackets), math.pi)
+        return tuple(((lo, hi), v) for lo, hi, v in zip(ends, ends[1:], self.values))
 
 
 # ---------------------------------------------------------------------------
@@ -313,23 +326,6 @@ def roots_in_brackets(p: LaurentPoly, brackets) -> tuple[bool, ...]:
                  for lo, hi in brackets)
 
 
-def lt_signature(V: SeifertMatrix, theta: float) -> int:
-    """Levine-Tristram signature at omega = e^(i theta), theta in (0, pi].
-
-    At theta = pi this is the Murasugi signature.  At a unit-circle root
-    of the knot polynomial (within ROOT_ANGLE_TOL) the value is the
-    average of the two one-sided limits (an integer: both are even).
-    """
-    if not 0.0 < theta <= math.pi:
-        raise ValueError("angle must lie in (0, pi]")
-    profile = signature_profile(V)
-    for angle, _jump, averaged in profile.jump_points:
-        if abs(angle - theta) <= ROOT_ANGLE_TOL:
-            return averaged
-    return next((v for (_, hi), v in profile.arcs if theta < hi),
-                profile.endpoint_value_at_pi)
-
-
 def signature_profile(V: SeifertMatrix) -> SignatureProfile:
     """Arc decomposition of the signature function over (0, pi).
 
@@ -345,12 +341,4 @@ def signature_profile(V: SeifertMatrix) -> SignatureProfile:
         values.append(_lt_at(V, *_u_between(hi, lo)))
     if brackets:
         values.append(murasugi_signature(V))
-    angles = [_angle(lo) for lo, _ in brackets]
-    bounds = (0.0, *angles, math.pi)
-    jump_points = tuple(
-        (angle, values[i + 1] - values[i], (values[i] + values[i + 1]) // 2)
-        for i, angle in enumerate(angles))
-    arcs = tuple(((lo, hi), v) for lo, hi, v in zip(bounds, bounds[1:], values))
-    return SignatureProfile(arcs=arcs, jump_points=jump_points,
-                            endpoint_value_at_pi=values[-1],
-                            jump_brackets=tuple(brackets))
+    return SignatureProfile(tuple(values), tuple(brackets))

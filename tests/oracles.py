@@ -98,6 +98,45 @@ def torus_alexander(p: int, q: int) -> list[int]:
     return exact_quotient(num, den)
 
 
+def torus_seifert(p: int, q: int) -> SeifertMatrix:
+    """Seifert matrix of T(p, q), the Sebastiani-Thom product
+    Gamma_(p-1) (x) Gamma_(q-1) of the Brieskorn singularity x^p + y^q,
+    with Gamma_n upper-bidiagonal: 1 on the diagonal, -1 above it."""
+
+    def gamma(n):
+        return [[1 if j == i else -1 if j == i + 1 else 0 for j in range(n)]
+                for i in range(n)]
+
+    a, b = gamma(p - 1), gamma(q - 1)
+    return SeifertMatrix(tuple(
+        tuple(a[i][j] * b[k][l] for j in range(p - 1) for l in range(q - 1))
+        for i in range(p - 1) for k in range(q - 1)))
+
+
+def block_sum(*matrices: SeifertMatrix) -> SeifertMatrix:
+    """The Seifert matrix of a connected sum: the blocks on the diagonal."""
+    n = sum(v.size for v in matrices)
+    rows, at = [], 0
+    for v in matrices:
+        rows += [(0,) * at + row + (0,) * (n - at - v.size) for row in v.entries]
+        at += v.size
+    return SeifertMatrix(tuple(rows))
+
+
+def mirror(v: SeifertMatrix) -> SeifertMatrix:
+    """The Seifert matrix -V^T of the mirror image."""
+    return SeifertMatrix(tuple(zip(*((-c for c in row) for row in v.entries))))
+
+
+def litherland_signature(p: int, q: int, x) -> int:
+    """Signature of T(p, q) at theta = 2 pi x, 0 < x <= 1/2, away from the
+    jumps (Litherland 1979): #{s in S : x < s < x + 1} minus
+    #{s in S : s < x or s > x + 1}, S = {i/p + j/q : 0 < i < p, 0 < j < q}."""
+    s = [Fraction(i, p) + Fraction(j, q) for i in range(1, p) for j in range(1, q)]
+    return (sum(x < t < x + 1 for t in s)
+            - sum(t < x or t > x + 1 for t in s))
+
+
 def swinnerton_dyer(primes) -> list[int]:
     """prod (x +- sqrt(p_1) +- ... +- sqrt(p_k)), irreducible of degree
     2^k: P(x) -> P(x + sqrt p) P(x - sqrt p) = A^2 - p B^2, where

@@ -21,8 +21,8 @@ from kcg.bounds import UNDETERMINED, combine
 from kcg.foxmilnor import (enhanced_required_factors, gc_poly_lower_bound,
                            residual)
 from kcg.laurent import Factorization, factor, mul, poly_from_text
-from kcg.seifert import (SeifertMatrix, SignatureProfile, lt_signature,
-                         murasugi_signature, signature_profile)
+from kcg.seifert import (SeifertMatrix, SignatureProfile, murasugi_signature,
+                         signature_profile)
 from kcg.tabledata import (KnotTable, census, concordant_fixture,
                            match_candidates, parse_table, reference_table,
                            slice_fixture, unknown_fixture)
@@ -197,7 +197,7 @@ def test_criterion_6_signatures():
     for size, reps in ((2, 100), (4, 60), (6, 30), (8, 10)):
         for _ in range(reps):
             v = random_seifert(rng, size)
-            assert lt_signature(v, math.pi) == murasugi_signature(v)
+            assert signature_profile(v).endpoint_value_at_pi == murasugi_signature(v)
             checked += 1
     assert checked == 200
 
@@ -211,12 +211,8 @@ def test_criterion_6_signatures():
 @criterion(7, "signature-jump enhancement gives bound 4")
 def test_criterion_7_jump_enhancement():
     fac = Factorization(((P("1;-1;1"), 2), (P("1;-1;1;-1;1"), 1)))
-    third = math.pi / 3
     profile = SignatureProfile(
-        arcs=(((0.0, third), 0), ((third, math.pi), 4)),
-        jump_points=((third, 4, 2),),
-        endpoint_value_at_pi=4,
-        jump_brackets=((Fraction(99, 100), Fraction(101, 100)),))
+        values=(0, 4), jump_brackets=((Fraction(99, 100), Fraction(101, 100)),))
     req = enhanced_required_factors(fac, profile)
     assert gc_poly_lower_bound(req) == 4
 

@@ -113,7 +113,33 @@ class TestFactorCommand:
         assert capsys.readouterr().out == first
 
 
+# stdout of ``kcg invariants`` for each Seifert matrix of knots_small.csv
+INVARIANTS_STDOUT = {
+    "3_1": "alexander\t1;-1;1\nsignature\t-2\njump\t1.047197551\t-2\t-1\n",
+    "4_1": "alexander\t1;-3;1\nsignature\t0\n",
+    "5_1": ("alexander\t1;-1;1;-1;1\nsignature\t-4\n"
+            "jump\t0.628318531\t-2\t-1\njump\t1.884955592\t-2\t-3\n"),
+    "5_2": "alexander\t2;-3;2\nsignature\t-2\njump\t0.722734248\t-2\t-1\n",
+    "6_1": "alexander\t2;-5;2\nsignature\t0\n",
+    "7_1": ("alexander\t1;-1;1;-1;1;-1;1\nsignature\t-6\n"
+            "jump\t0.448798951\t-2\t-1\njump\t1.346396852\t-2\t-3\n"
+            "jump\t2.243994753\t-2\t-5\n"),
+    "7_2": "alexander\t3;-5;3\nsignature\t-2\njump\t0.585685543\t-2\t-1\n",
+    "7_4": "alexander\t4;-7;4\nsignature\t-2\njump\t0.505360510\t-2\t-1\n",
+}
+
+
 class TestInvariantsCommand:
+    def test_every_bundled_matrix_has_its_output_pinned(self):
+        assert sorted(INVARIANTS_STDOUT) == sorted(
+            r.name for r in reference_table().records if r.seifert is not None)
+
+    @pytest.mark.parametrize("name", sorted(INVARIANTS_STDOUT))
+    def test_bundled_matrix_output(self, name, capsys):
+        matrix = reference_table().find(name).seifert.to_text()
+        assert main(["invariants", f"--seifert={matrix}"]) == 0
+        assert capsys.readouterr().out == INVARIANTS_STDOUT[name]
+
     def test_trefoil(self, capsys):
         # values starting with "-" need the = form, as usual with argparse
         assert main(["invariants", "--seifert=-1,1;0,-1"]) == 0

@@ -29,15 +29,10 @@ def bracket(angle):
 
 
 def profile_with_jump(angle, jump):
-    half = jump // 2
-    return SignatureProfile(
-        arcs=(((0.0, angle), 0), ((angle, PI), jump)),
-        jump_points=((angle, jump, half),),
-        endpoint_value_at_pi=jump, jump_brackets=(bracket(angle),))
+    return SignatureProfile(values=(0, jump), jump_brackets=(bracket(angle),))
 
 
-FLAT_PROFILE = SignatureProfile(arcs=(((0.0, PI), 0),), jump_points=(),
-                                endpoint_value_at_pi=0, jump_brackets=())
+FLAT_PROFILE = SignatureProfile(values=(0,), jump_brackets=())
 
 
 class TestResidual:
@@ -93,10 +88,7 @@ class TestEnhancement:
         assert req.enhanced.degree == 8
 
     def test_no_jump_no_enhancement(self):
-        prof = SignatureProfile(arcs=(((0.0, PI / 3), 0), ((PI / 3, PI), 0)),
-                                jump_points=((PI / 3, 0, 0),),
-                                endpoint_value_at_pi=0,
-                                jump_brackets=(bracket(PI / 3),))
+        prof = SignatureProfile(values=(0, 0), jump_brackets=(bracket(PI / 3),))
         req = enhanced_required_factors(self.F_QUIET, prof)
         assert req.residual == req.enhanced == P("4;-7;4")
 

@@ -8,9 +8,8 @@ import pytest
 
 from kcg.errors import SeifertError
 from kcg.laurent import ONE, eval_int, is_symmetric, poly_from_text
-from kcg.seifert import (SeifertMatrix, alexander, lt_signature,
-                         murasugi_signature, signature_profile,
-                         unit_circle_root_angles)
+from kcg.seifert import (SeifertMatrix, alexander, murasugi_signature,
+                         signature_profile, unit_circle_root_angles)
 from oracles import (eig_signature, exact_lt_signature, family_seifert,
                      random_seifert, rational_in_arc)
 
@@ -24,6 +23,12 @@ DOUBLE_TREFOIL = SeifertMatrix((
     (0, 0, -1, 1),
     (0, 0, 0, -1),
 ))
+
+
+def arc_value(profile, theta):
+    """The profile's value on the open arc that holds theta."""
+    (value,) = [v for (lo, hi), v in profile.arcs if lo < theta < hi]
+    return value
 
 
 class TestSeifertMatrix:
@@ -110,12 +115,15 @@ class TestMurasugiSignature:
 
 
 class TestLtSignature:
+    """Values of the Levine-Tristram signature read off the profile."""
+
     def test_at_pi_equals_murasugi(self):
-        assert lt_signature(TREFOIL, math.pi) == murasugi_signature(TREFOIL)
+        prof = signature_profile(TREFOIL)
+        assert prof.endpoint_value_at_pi == murasugi_signature(TREFOIL)
 
     def test_trefoil_at_quarter_turn(self):
         assert eig_signature(TREFOIL.entries, math.pi / 2) == -2
-        assert lt_signature(TREFOIL, math.pi / 2) == -2
+        assert arc_value(signature_profile(TREFOIL), math.pi / 2) == -2
 
     def test_figure_eight_constant_zero(self):
         # both roots of 1-3t+t^2 are real: (3 +- sqrt(5))/2, off the circle
@@ -124,19 +132,15 @@ class TestLtSignature:
         assert abs(r1) != pytest.approx(1.0, abs=1e-6)
         assert abs(r2) != pytest.approx(1.0, abs=1e-6)
         assert eig_signature(FIGURE_EIGHT.entries, math.pi / 2) == 0
-        assert lt_signature(FIGURE_EIGHT, math.pi / 2) == 0
+        assert arc_value(signature_profile(FIGURE_EIGHT), math.pi / 2) == 0
 
     def test_averaged_value_at_root(self):
-        assert lt_signature(TREFOIL, math.pi / 3) == -1
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            lt_signature(TREFOIL, 0.0)
-        with pytest.raises(ValueError):
-            lt_signature(TREFOIL, 3.5)
+        (angle, _jump, averaged), = signature_profile(TREFOIL).jump_points
+        assert angle == pytest.approx(math.pi / 3, abs=1e-9)
+        assert averaged == -1
 
     def test_empty(self):
-        assert lt_signature(EMPTY, 1.0) == 0
+        assert arc_value(signature_profile(EMPTY), 1.0) == 0
 
 
 class TestUnitCircleRoots:
@@ -218,7 +222,7 @@ class TestRandomMatrices:
 
     def test_lt_at_pi_matches_exact(self):
         for v in self._matrices(seed=103):
-            assert lt_signature(v, math.pi) == murasugi_signature(v)
+            assert signature_profile(v).endpoint_value_at_pi == murasugi_signature(v)
 
     def test_profile_arc_resampling(self):
         rng = random.Random(107)
@@ -227,7 +231,7 @@ class TestRandomMatrices:
             for (lo, hi), value in prof.arcs:
                 for _ in range(3):
                     u = rational_in_arc(lo, hi, rng.uniform(0.05, 0.95))
-                    assert lt_signature(v, 2 * math.atan(u)) == value
+                    assert arc_value(prof, 2 * math.atan(u)) == value
                     assert exact_lt_signature(v.entries, u) == value
 
     def test_exact_agrees_with_float_eigenvalues(self):

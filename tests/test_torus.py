@@ -1,0 +1,68 @@
+"""Torus knots and their connected sums against closed forms, computed
+independently of kcg: the polynomial is a cyclotomic product and the
+signature function is Litherland's count."""
+
+import functools
+import math
+from fractions import Fraction
+
+import pytest
+
+from kcg.bounds import DETERMINED, SLICE_UNKNOWN, UNDETERMINED, KnotRecord, analyze
+from kcg.foxmilnor import SIGNATURE_JUMP
+from kcg.laurent import ONE, canonicalize, factor, poly_from_text
+from kcg.seifert import alexander, signature_profile
+from oracles import (block_sum, conv_mul, litherland_signature, mirror,
+                     torus_alexander, torus_seifert)
+
+TORUS = [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5), (3, 7), (5, 6), (5, 7)]
+
+
+@pytest.mark.parametrize("p,q", TORUS)
+def test_alexander_is_the_cyclotomic_product(p, q):
+    assert alexander(torus_seifert(p, q)) == canonicalize(torus_alexander(p, q))
+
+
+@pytest.mark.parametrize("p,q", TORUS)
+def test_profile_arcs_match_litherland(p, q):
+    for (lo, hi), value in signature_profile(torus_seifert(p, q)).arcs:
+        # theta = 2 pi x at the arc's midpoint
+        assert value == litherland_signature(p, q, (lo + hi) / (4 * math.pi))
+
+
+def torus_sum_record(name, knots):
+    """Record of the connected sum of T(p, q), sign 1, and mirrors of
+    T(p, q), sign -1, over (p, q, sign) triples; every invariant comes
+    from the oracles."""
+    v = block_sum(*(torus_seifert(p, q) if sign > 0 else mirror(torus_seifert(p, q))
+                    for p, q, sign in knots))
+    delta = functools.reduce(conv_mul, (torus_alexander(p, q) for p, q, _ in knots))
+    sig = sum(sign * litherland_signature(p, q, Fraction(1, 2)) for p, q, sign in knots)
+    genus = sum((p - 1) * (q - 1) // 2 for p, q, _ in knots)
+    return KnotRecord(name=name, crossings=sum(min(p * (q - 1), q * (p - 1))
+                                               for p, q, _ in knots),
+                      alexander=canonicalize(delta), signature=sig, genus3=genus,
+                      genus4=(math.ceil(abs(sig) / 2), genus),
+                      slice_status=SLICE_UNKNOWN, seifert=v)
+
+
+def test_jump_alone_decides_the_genus():
+    # Delta = Phi_6^2 Phi_10 and sigma = 0: the jump of 4 at pi/3 forces
+    # Phi_6^2 back in and raises the bound from 2 to the genus, 4
+    rec = torus_sum_record("T(2,3)#T(2,3)#-T(2,5)", [(2, 3, 1), (2, 3, 1), (2, 5, -1)])
+    assert rec.signature == 0
+    analysis = analyze(rec, factor(rec.alexander))
+    assert (analysis.bounds.lower, analysis.bounds.upper) == (4, 4)
+    assert analysis.bounds.status == DETERMINED
+    assert analysis.bounds.contributors == (("polynomial+jump", 4),)
+    assert (poly_from_text("1;-1;1"), SIGNATURE_JUMP) in analysis.required.contributors
+
+
+def test_slice_sum_gets_no_enhancement():
+    # T(2,3)#-T(2,3) is slice: the same Phi_6^2, but no jump
+    rec = torus_sum_record("T(2,3)#-T(2,3)", [(2, 3, 1), (2, 3, -1)])
+    analysis = analyze(rec, factor(rec.alexander))
+    assert (analysis.bounds.lower, analysis.bounds.upper) == (0, 2)
+    assert analysis.bounds.status == UNDETERMINED
+    assert analysis.required.residual == analysis.required.enhanced == ONE
+    assert "polynomial+jump" not in dict(analysis.bounds.contributors)

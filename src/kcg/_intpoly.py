@@ -13,12 +13,16 @@ past ``RECOMBINATION_BUDGET``: a refusal, never a hang.
 
 Knot polynomials are palindromic, and a palindromic h of degree 2m with
 h(1) h(-1) != 0 is factored at half the degree through its trace
-polynomial D, t^-m h(t) = D(t + 1/t) (:func:`to_trace`): D is factored,
-and each irreducible d is lifted back to t^deg(d) d(t + 1/t)
-(:func:`from_trace`).  A lift is irreducible or +-f(t) f*(t) with f* the
-reciprocal of f; only a lift that passes the exact test for the latter
-(:func:`_may_split`) is recombined again.  Every choice below (prime scan
-order, factor ordering, subset order) is deterministic.
+polynomial D, t^-m h(t) = D(t + 1/t) (:func:`to_trace`, None for every
+other h, is the one test for this route): D is factored, and each
+irreducible d is lifted back to t^deg(d) d(t + 1/t) (:func:`from_trace`).
+A lift is irreducible or +-f(t) f*(t) with f* the reciprocal of f; only a
+lift that passes the exact test for the latter (:func:`_may_split`) is
+recombined again.  Every choice below (prime scan order, factor ordering,
+subset order) is deterministic.
+
+Integer contents are factored by trial division up to
+``TRIAL_DIVISION_BOUND``; a cofactor it cannot prove prime is refused.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ from .errors import PolynomialError
 
 #: Subset trials one recombination may make before it refuses the input.
 RECOMBINATION_BUDGET = 2000
+
+#: Largest trial divisor of an integer content; a cofactor with no divisor
+#: up to it is prime when below its square, and refused otherwise.
+TRIAL_DIVISION_BOUND = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -195,27 +203,17 @@ def squarefree_decomposition(f):
     return out
 
 
-def squarefree_part(f):
-    """Product of the distinct irreducible factors of f, lc > 0."""
-    c, f = primitive(strip(f))
-    if f and f[-1] < 0:
-        f = neg(f)
-    if degree(f) < 1:
-        return [1]
-    out = [1]
-    for part, _ in squarefree_decomposition(f):
-        out = mul(out, part)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the trace transform of palindromic polynomials
 
 
 def to_trace(h):
-    """D with t^-m h(t) = D(t + 1/t), for palindromic h of degree 2m:
+    """D with t^-m h(t) = D(t + 1/t), or None unless h is palindromic of
+    degree 2m with h(1) h(-1) != 0 (odd degree would give h(-1) = 0).
     t^-m h(t) is a sum of t^k + t^-k = P_k(x), P_0 = 2, P_1 = x,
     P_(k+1) = x P_k - P_(k-1)."""
+    if h != h[::-1] or not eval_at(h, 1) or not eval_at(h, -1):
+        return None
     m = len(h) // 2
     out, prev, cur = [h[m]], [2], [0, 1]
     for c in h[m + 1:]:
@@ -248,10 +246,6 @@ def _may_split(d):
 
 def gf_trunc(f, p):
     return strip([c % p for c in f])
-
-
-def gf_add(f, g, p):
-    return gf_trunc(add(f, g), p)
 
 
 def gf_sub(f, g, p):
@@ -512,19 +506,24 @@ def _primes():
 
 
 def factor_int(n):
-    """Prime factorization of n >= 1 as sorted (prime, exponent) pairs."""
+    """Prime factorization of n >= 1 as sorted (prime, exponent) pairs, by
+    trial division up to ``TRIAL_DIVISION_BOUND``."""
     if n < 1:
         raise ValueError("expected a positive integer")
     out = []
-    for p in _primes():
-        if p * p > n:
-            break
+    p = 2
+    while p * p <= n:
+        if p > TRIAL_DIVISION_BOUND:
+            raise PolynomialError(
+                f"content {n} has no prime factor up to {TRIAL_DIVISION_BOUND}"
+                " and is too large to prove prime")
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             out.append((p, e))
+        p += 1 if p == 2 else 2
     if n > 1:
         out.append((n, 1))
     return out
@@ -605,13 +604,14 @@ def factor_primitive(f):
     """(irreducible, multiplicity) pairs for primitive f, lc > 0, deg >= 1.
 
     Factors come back sorted by (degree, coefficient tuple), which keeps
-    every downstream artifact byte reproducible.  A palindromic f with
-    f(1) f(-1) != 0 (odd degree would give f(-1) = 0) is factored through
-    its trace polynomial, whose square-free parts lift to those of f.
+    every downstream artifact byte reproducible.  An f that has a trace
+    polynomial is factored through it, whose square-free parts lift to
+    those of f.
     """
     out = []
-    if f == f[::-1] and eval_at(f, 1) and eval_at(f, -1):
-        for part, mult in squarefree_decomposition(to_trace(f)):
+    trace = to_trace(f)
+    if trace is not None:
+        for part, mult in squarefree_decomposition(trace):
             for d in zassenhaus(part):
                 lift = from_trace(d)
                 for w in zassenhaus(lift) if _may_split(d) else [lift]:

@@ -29,6 +29,8 @@ def _read_table(path: str) -> KnotTable:
     table = parse_table(text, source_path=path)
     for bad in table.rejected:
         print(f"kcg: {path}:{bad.line}: {bad.reason}", file=sys.stderr)
+    if not table.records:
+        print(f"kcg: {path}: no records", file=sys.stderr)
     return table
 
 
@@ -92,37 +94,8 @@ def _cmd_match(args) -> int:
     return 0
 
 
-class _One(argparse.Action):
-    """Stores an option's one value.  argparse drops a value that is
-    exactly "--" (``--poly=--``) and hands over an empty list instead,
-    which is a usage error here."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        if isinstance(value, list):
-            raise argparse.ArgumentError(self, "expected one argument")
-        setattr(namespace, self.dest, value)
-
-
-class _AtLeastOne(_One):
-    """Stores an int option; a value below 1 is a usage error."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        super().__call__(parser, namespace, value, option_string)
-        if value < 1:
-            raise argparse.ArgumentError(self, f"must be at least 1: {value}")
-
-
-class _Parser(argparse.ArgumentParser):
-    """An argument parser, and those of its subcommands, whose options
-    store through :class:`_One` by default."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.register("action", None, _One)
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="kcg",
         description="Concordance-genus bounds and census tools for knot tables.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -147,20 +120,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True)
     p.add_argument("--report", help="write the per-knot TSV report here")
     p.add_argument("--candidates", help="candidate table for unknown rows")
-    p.add_argument("--max-summands", type=int, default=2, action=_AtLeastOne)
+    p.add_argument("--max-summands", type=int, default=2)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("match", help="candidate concordances for one knot")
     p.add_argument("--name", required=True)
     p.add_argument("--table", required=True)
     p.add_argument("--candidates", required=True)
-    p.add_argument("--max-summands", type=int, default=2, action=_AtLeastOne)
+    p.add_argument("--max-summands", type=int, default=2)
     p.set_defaults(func=_cmd_match)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    # argparse drops an option value that is exactly "--" (``--poly=--``)
+    # and stores an empty list instead
+    if [] in vars(args).values():
+        parser.error("an option expected one argument")
+    if getattr(args, "max_summands", 1) < 1:
+        parser.error(f"--max-summands must be at least 1: {args.max_summands}")
     try:
         return args.func(args)
     except KcgError as exc:

@@ -163,7 +163,8 @@ def factor(p: LaurentPoly) -> Factorization:
     A palindromic primitive part that vanishes at neither 1 nor -1, as
     every knot polynomial's, is factored at half its degree through its
     trace polynomial (see :mod:`kcg._intpoly`).  An input whose
-    recombination needs too many trials is refused with
+    recombination needs too many trials, or whose content trial division
+    can neither split nor prove prime, is refused with
     :class:`PolynomialError`.
     """
     if p.degree > FACTOR_DEGREE_CAP:

@@ -8,7 +8,9 @@ u = tan(theta/2) = p/q the Levine-Tristram form is a positive multiple of
 the integer Hermitian p(V+V^T) - iq(V-V^T), whose signature comes from
 fraction-free elimination over the Gaussian integers (p/q = 1/0: Murasugi).
 Unit-circle roots e^(i theta) are the roots x = 2cos(theta) in (-2, 2) of
-the half-degree trace polynomial, isolated by Sturm sequences on rationals.
+the square-free half-degree trace polynomial, isolated by Sturm sequences
+on rationals; ``_intpoly.to_trace`` returns None for a polynomial without
+one, which a knot polynomial never is (Delta(1) = 1, Delta(-1) odd).
 The signature profile keeps only the exact results, the rational root
 brackets and the value on each arc; its angles are read off the brackets.
 """
@@ -21,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import _intpoly
-from .errors import SeifertError
+from .errors import PolynomialError, ProfileError, SeifertError
 from .laurent import LaurentPoly, canonicalize, eval_int
 
 
@@ -93,6 +95,11 @@ class SignatureProfile:
 
     values: tuple[int, ...]
     jump_brackets: tuple[tuple[Fraction, Fraction], ...]
+
+    def __post_init__(self):
+        if len(self.values) != len(self.jump_brackets) + 1:
+            raise ProfileError("inconsistent profile: one more value than "
+                               "jump brackets expected")
 
     @property
     def endpoint_value_at_pi(self) -> int:
@@ -215,17 +222,12 @@ def _lt_at(V: SeifertMatrix, p: int, q: int) -> int:
 # unit-circle roots
 
 
-def _circle_part(p: LaurentPoly) -> list[int]:
-    """Palindromic square-free h that holds the unit-circle roots of p
-    other than 1 and -1: they lie in gcd(w, w reversed), w the
-    square-free part of p.  The roots in (-2, 2) of its trace polynomial
-    are the x = t + 1/t = 2cos(theta) of the roots t = e^(i theta),
-    0 < theta < pi."""
-    w = _intpoly.squarefree_part(list(p.coeffs))
-    h = _intpoly.gcd(w, w[::-1])
-    for linear in ([-1, 1], [1, 1]):
-        h = _intpoly.try_div(h, linear) or h
-    return h
+def _circle_trace(p: LaurentPoly):
+    """Square-free part of the trace polynomial D of p, or None when p
+    has none.  The roots x = t + 1/t = 2cos(theta) of D in (-2, 2) are
+    those of the unit-circle roots t = e^(i theta), 0 < theta < pi."""
+    d = _intpoly.to_trace(list(p.coeffs))
+    return None if d is None else _intpoly.try_div(d, _intpoly.gcd(d, _intpoly.derivative(d)))
 
 
 def _angle(x: Fraction) -> float:
@@ -241,8 +243,12 @@ def _root_brackets(p: LaurentPoly) -> list[tuple[Fraction, Fraction]]:
     root, as the drop in sign changes along D, D', -rem, ... from lo to
     hi.  (-2, 2) is halved until each part holds one root, which is then
     bisected until the ends of its bracket give the same double angle.
+    A p without a trace polynomial is refused.
     """
-    d = _intpoly.to_trace(_circle_part(p))
+    d = _circle_trace(p)
+    if d is None:
+        raise PolynomialError(f"no trace polynomial: {p.to_text()} is not "
+                              "palindromic and nonzero at 1 and -1")
     seq = [d, _intpoly.derivative(d)]
     while _intpoly.degree(seq[-1]) > 0:
         g = seq[-1]
@@ -313,15 +319,21 @@ def murasugi_signature(V: SeifertMatrix) -> int:
 
 def unit_circle_root_angles(p: LaurentPoly) -> tuple[float, ...]:
     """Angles in (0, pi) of the distinct unit-circle roots of p, increasing;
-    both ends of each root's rational bracket give this double."""
+    both ends of each root's rational bracket give this double.  p must
+    be palindromic and nonzero at 1 and -1, as a knot polynomial is;
+    any other p is refused with :class:`PolynomialError`."""
     return tuple(_angle(lo) for lo, _ in _root_brackets(p))
 
 
 def roots_in_brackets(p: LaurentPoly, brackets) -> tuple[bool, ...]:
-    """Per bracket of ``SignatureProfile.jump_brackets``, whether p has
-    the unit-circle root it isolates: whether the trace polynomial of p
-    changes sign across it."""
-    d = _intpoly.to_trace(_circle_part(p))
+    """Per bracket of ``SignatureProfile.jump_brackets``, whether the
+    irreducible p has the unit-circle root it isolates: whether the trace
+    polynomial of p changes sign across it.  A p without one has no such
+    root: an irreducible polynomial with a root e^(i theta), 0 < theta <
+    pi, is palindromic of even degree and nonzero at 1 and -1."""
+    d = _circle_trace(p)
+    if d is None:
+        return (False,) * len(brackets)
     return tuple((_intpoly.eval_at(d, lo) > 0) != (_intpoly.eval_at(d, hi) > 0)
                  for lo, hi in brackets)
 

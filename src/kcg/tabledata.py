@@ -20,7 +20,6 @@ import csv
 import functools
 import io
 import operator
-import warnings
 from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations_with_replacement
@@ -98,7 +97,8 @@ def parse_table(text, source_path: str = "<stream>") -> KnotTable:
 
     Accepts a string or a readable stream.  A malformed header is fatal
     ("bad schema"); bad rows are collected on ``KnotTable.rejected`` with
-    line numbers, and the parse only fails when every row is bad.
+    line numbers, and the parse only fails when every row is bad.  A
+    table without rows parses to no records and no rejected rows.
     """
     if hasattr(text, "read"):
         text = text.read()
@@ -133,8 +133,6 @@ def parse_table(text, source_path: str = "<stream>") -> KnotTable:
         records.append(rec)
     if body and not records:
         raise TableError("all rows rejected")
-    if not body:
-        warnings.warn("no records", stacklevel=2)
     return KnotTable(tuple(records), source_path, tuple(rejected))
 
 

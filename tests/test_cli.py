@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import kcg
+from kcg.bounds import CATEGORIES
 from kcg.cli import main
-from kcg.tabledata import (concordant_fixture, reference_table, serialize,
-                           unknown_fixture)
+from kcg.tabledata import (SCHEMA, concordant_fixture, reference_table,
+                           serialize, unknown_fixture)
 from oracles import swinnerton_dyer
 
 PACKAGE = Path(kcg.__file__).resolve().parent
@@ -41,12 +42,13 @@ def _run_fresh(argv):
     return proc.returncode, proc.stdout, err, loaded == "True"
 
 
-def _run_module(argv):
-    """``python -m kcg argv`` in a new process."""
+def _run_module(argv, timeout=120):
+    """``python -m kcg argv`` in a new process, failing past ``timeout``
+    seconds."""
     path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     return subprocess.run([sys.executable, "-m", "kcg", *argv], env=env,
-                          capture_output=True, text=True, timeout=120, check=False)
+                          capture_output=True, text=True, timeout=timeout, check=False)
 
 
 def _readme_output(command):
@@ -105,6 +107,16 @@ class TestFactorCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(r"kcg: .*recombination trials\n", captured.err)
+
+    def test_large_prime_content(self):
+        proc = _run_module(["factor", "--poly", "1000000000039"], timeout=5)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(1000000000039)^1\n", "")
+
+    def test_content_beyond_trial_division_exits_1(self):
+        proc = _run_module(["factor", "--poly", "1000000000000037"], timeout=5)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert re.fullmatch(r"kcg: content 1000000000000037 [^\n]*prime\n", proc.stderr)
 
     def test_byte_deterministic(self, capsys):
         main(["factor", "--poly", "4;-15;30;-37;30;-15;4"])
@@ -244,6 +256,14 @@ class TestCensusCommand:
         text = report.read_text(encoding="utf-8")
         row = next(l for l in text.split("\n") if l.startswith("11a_297\t"))
         assert row.split("\t")[5].startswith("5_2")
+
+    def test_header_only_table(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(SCHEMA) + "\n", encoding="utf-8")
+        proc = _run_module(["census", "--table", str(path)])
+        assert proc.returncode == 0
+        assert proc.stderr == f"kcg: {path}: no records\n"
+        assert proc.stdout == "".join(f"{c}\t0\n" for c in CATEGORIES) + "total\t0\n"
 
     def test_table_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "utf16.csv"

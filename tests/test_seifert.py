@@ -3,12 +3,14 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from kcg.errors import SeifertError
+from kcg.errors import PolynomialError, ProfileError, SeifertError
 from kcg.laurent import ONE, eval_int, is_symmetric, poly_from_text
-from kcg.seifert import (SeifertMatrix, alexander, murasugi_signature,
+from kcg.seifert import (SeifertMatrix, SignatureProfile, alexander,
+                         murasugi_signature, roots_in_brackets,
                          signature_profile, unit_circle_root_angles)
 from oracles import (eig_signature, exact_lt_signature, family_seifert,
                      random_seifert, rational_in_arc)
@@ -161,8 +163,30 @@ class TestUnitCircleRoots:
     def test_degree_zero(self):
         assert unit_circle_root_angles(ONE) == ()
 
+    def test_without_trace_polynomial_refused(self):
+        # (2 - t)(1 - t + t^2) is not palindromic
+        with pytest.raises(PolynomialError, match="no trace polynomial"):
+            unit_circle_root_angles(poly_from_text("2;-3;3;-1"))
+
+
+class TestRootsInBrackets:
+    BRACKETS = signature_profile(TREFOIL).jump_brackets
+
+    def test_symmetric_factor_owns_its_root(self):
+        assert roots_in_brackets(poly_from_text("1;-1;1"), self.BRACKETS) == (True,)
+        assert roots_in_brackets(poly_from_text("1;-3;1"), self.BRACKETS) == (False,)
+
+    @pytest.mark.parametrize("text", ["2;-1", "1;1;-1", "3;-2;1"])
+    def test_asymmetric_factor_owns_nothing(self, text):
+        assert roots_in_brackets(poly_from_text(text), self.BRACKETS) == (False,)
+
 
 class TestSignatureProfile:
+    def test_values_must_outnumber_brackets_by_one(self):
+        with pytest.raises(ProfileError, match="inconsistent profile"):
+            SignatureProfile(values=(0,),
+                             jump_brackets=((Fraction(99, 100), Fraction(101, 100)),))
+
     def test_empty_matrix(self):
         prof = signature_profile(EMPTY)
         assert prof.arcs == (((0.0, math.pi), 0),)

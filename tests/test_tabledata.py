@@ -31,10 +31,10 @@ class TestParse:
         assert rec.seifert is not None
         assert rec.concordant_to == ()
 
-    def test_empty_body_warns(self):
-        with pytest.warns(UserWarning, match="no records"):
-            t = parse_table(HEADER + "\n")
-        assert t.records == ()
+    def test_empty_body_has_no_records(self, recwarn):
+        t = parse_table(HEADER + "\n")
+        assert t.records == () and t.rejected == ()
+        assert len(recwarn) == 0
 
     def test_bad_schema(self):
         with pytest.raises(TableError, match="bad schema"):

@@ -22,7 +22,9 @@ recombined again.  Every choice below (prime scan order, factor ordering,
 subset order) is deterministic.
 
 Integer contents are factored by trial division up to
-``TRIAL_DIVISION_BOUND``; a cofactor it cannot prove prime is refused.
+``TRIAL_DIVISION_BOUND``; a cofactor it cannot split is emitted when the
+deterministic Miller-Rabin test of :func:`_is_prime_mr` proves it prime,
+and refused when it is composite or not below ``MILLER_RABIN_BOUND``.
 """
 
 from __future__ import annotations
@@ -36,8 +38,15 @@ from .errors import PolynomialError
 RECOMBINATION_BUDGET = 2000
 
 #: Largest trial divisor of an integer content; a cofactor with no divisor
-#: up to it is prime when below its square, and refused otherwise.
+#: up to it is prime when below its square, and goes to Miller-Rabin
+#: otherwise.
 TRIAL_DIVISION_BOUND = 1 << 20
+
+#: Miller-Rabin to the bases ``MILLER_RABIN_BASES``, the first 13 primes,
+#: decides primality of every n below this bound (Sorenson and Webster,
+#: "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+MILLER_RABIN_BOUND = 3317044064679887385961981
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +103,16 @@ def eval_at(f, x):
     out = 0
     for c in reversed(f):
         out = out * x + c
+    return out
+
+
+def eval_scaled(f, a, b):
+    """b^deg(f) f(a/b) for integers a and b > 0: an integer with the sign
+    of f(a/b), by homogeneous Horner evaluation, with no division."""
+    out, scale = 0, 1
+    for c in reversed(f):
+        out = out * a + c * scale
+        scale *= b
     return out
 
 
@@ -505,18 +524,42 @@ def _primes():
         n += 2
 
 
+def _is_prime_mr(n):
+    """Whether the odd n, MILLER_RABIN_BASES[-1] < n < MILLER_RABIN_BOUND,
+    is prime: a strong probable prime to every base of
+    ``MILLER_RABIN_BASES``, which below the bound only primes are."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def factor_int(n):
     """Prime factorization of n >= 1 as sorted (prime, exponent) pairs, by
-    trial division up to ``TRIAL_DIVISION_BOUND``."""
+    trial division up to ``TRIAL_DIVISION_BOUND``; a cofactor left over is
+    emitted when :func:`_is_prime_mr` proves it prime, and refused when
+    it is composite or not below ``MILLER_RABIN_BOUND``."""
     if n < 1:
         raise ValueError("expected a positive integer")
     out = []
     p = 2
     while p * p <= n:
         if p > TRIAL_DIVISION_BOUND:
+            if n < MILLER_RABIN_BOUND and _is_prime_mr(n):
+                break
+            why = "is composite" if n < MILLER_RABIN_BOUND else "is too large to prove prime"
             raise PolynomialError(
-                f"content {n} has no prime factor up to {TRIAL_DIVISION_BOUND}"
-                " and is too large to prove prime")
+                f"content {n} has no prime factor up to {TRIAL_DIVISION_BOUND} and {why}")
         if n % p == 0:
             e = 0
             while n % p == 0:

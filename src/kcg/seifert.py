@@ -9,10 +9,13 @@ the integer Hermitian p(V+V^T) - iq(V-V^T), whose signature comes from
 fraction-free elimination over the Gaussian integers (p/q = 1/0: Murasugi).
 Unit-circle roots e^(i theta) are the roots x = 2cos(theta) in (-2, 2) of
 the square-free half-degree trace polynomial, isolated by Sturm sequences
-on rationals; ``_intpoly.to_trace`` returns None for a polynomial without
-one, which a knot polynomial never is (Delta(1) = 1, Delta(-1) odd).
-The signature profile keeps only the exact results, the rational root
-brackets and the value on each arc; its angles are read off the brackets.
+and bisected on dyadic rationals held as integer pairs, a numerator over a
+power-of-two denominator, with signs from the division-free
+``_intpoly.eval_scaled``; ``_intpoly.to_trace`` returns None for a
+polynomial without one, which a knot polynomial never is (Delta(1) = 1,
+Delta(-1) odd).  The signature profile keeps only the exact results, the
+root brackets, which become Fractions there, and the value on each arc;
+its angles are read off the brackets.
 """
 
 from __future__ import annotations
@@ -109,13 +112,14 @@ class SignatureProfile:
     def jump_points(self) -> tuple[tuple[float, int, int], ...]:
         """(angle, jump, averaged value) per root, where the averaged
         value is the mean of the two adjacent arc values."""
-        return tuple((_angle(lo), b - a, (a + b) // 2) for (lo, _), a, b
-                     in zip(self.jump_brackets, self.values, self.values[1:]))
+        return tuple((_angle(*lo.as_integer_ratio()), b - a, (a + b) // 2)
+                     for (lo, _), a, b in zip(self.jump_brackets, self.values, self.values[1:]))
 
     @property
     def arcs(self) -> tuple[tuple[tuple[float, float], int], ...]:
         """(open interval, value) pairs covering (0, pi)."""
-        ends = (0.0, *(_angle(lo) for lo, _ in self.jump_brackets), math.pi)
+        ends = (0.0, *(_angle(*lo.as_integer_ratio()) for lo, _ in self.jump_brackets),
+                math.pi)
         return tuple(((lo, hi), v) for lo, hi, v in zip(ends, ends[1:], self.values))
 
 
@@ -230,9 +234,10 @@ def _circle_trace(p: LaurentPoly):
     return None if d is None else _intpoly.try_div(d, _intpoly.gcd(d, _intpoly.derivative(d)))
 
 
-def _angle(x: Fraction) -> float:
-    """theta in [0, pi] with 2cos(theta) = x."""
-    return 2 * math.atan2(math.sqrt(2 - x), math.sqrt(2 + x))
+def _angle(a: int, b: int) -> float:
+    """theta in [0, pi] with 2cos(theta) = a/b, b > 0.  Each quotient is
+    an int/int division, correctly rounded as float(Fraction) is."""
+    return 2 * math.atan2(math.sqrt((2 * b - a) / b), math.sqrt((2 * b + a) / b))
 
 
 def _root_brackets(p: LaurentPoly) -> list[tuple[Fraction, Fraction]]:
@@ -243,6 +248,11 @@ def _root_brackets(p: LaurentPoly) -> list[tuple[Fraction, Fraction]]:
     root, as the drop in sign changes along D, D', -rem, ... from lo to
     hi.  (-2, 2) is halved until each part holds one root, which is then
     bisected until the ends of its bracket give the same double angle.
+    Every end is a dyadic rational, held as an integer numerator over a
+    power-of-two denominator shared by the ends of a bracket: a midpoint
+    doubles both ends and the denominator, and each sign is that of the
+    integer ``_intpoly.eval_scaled``, so the loops do no rational
+    arithmetic.  The ends become Fractions only in the returned list.
     A p without a trace polynomial is refused.
     """
     d = _circle_trace(p)
@@ -255,33 +265,37 @@ def _root_brackets(p: LaurentPoly) -> list[tuple[Fraction, Fraction]]:
         r = _intpoly._pseudo_rem(seq[-2], g if g[-1] > 0 else _intpoly.neg(g))
         seq.append(_intpoly.neg(_intpoly.primitive(r)[1]))
 
-    def changes(x):
-        signs = [v > 0 for v in (_intpoly.eval_at(g, x) for g in seq) if v]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
+    def changes(a, den):
+        signs = [v > 0 for v in (_intpoly.eval_scaled(g, a, den) for g in seq) if v]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
 
-    todo = [(Fraction(-2), changes(-2), Fraction(2), changes(2))]
+    # (lo, sign changes at lo, hi, sign changes at hi, denominator)
+    todo = [(-2, changes(-2, 1), 2, changes(2, 1), 1)]
     out = []
     while todo:
-        lo, vlo, hi, vhi = todo.pop()
+        lo, vlo, hi, vhi, den = todo.pop()
         if vlo - vhi > 1:
-            mid = (lo + hi) / 2
-            while not _intpoly.eval_at(d, mid):
-                mid = (lo + mid) / 2
-            vmid = changes(mid)
-            todo += [(lo, vlo, mid, vmid), (mid, vmid, hi, vhi)]
+            lo, hi, mid, den = 2 * lo, 2 * hi, lo + hi, 2 * den
+            while not _intpoly.eval_scaled(d, mid, den):
+                lo, hi, mid, den = 2 * lo, 2 * hi, lo + mid, 2 * den
+            vmid = changes(mid, den)
+            todo += [(lo, vlo, mid, vmid, den), (mid, vmid, hi, vhi, den)]
         elif vlo - vhi == 1:
-            # strictly inside (lo, hi), so that brackets never touch
-            a, b, s = lo, hi, _intpoly.eval_at(d, lo) > 0
-            while a == lo or b == hi or _angle(a) != _angle(b):
-                mid = (a + b) / 2
-                t = _intpoly.eval_at(d, mid)
+            # strictly inside (lo, hi), so that brackets never touch: an
+            # end's angle is None until the end has moved
+            a, b, n, s = lo, hi, den, _intpoly.eval_scaled(d, lo, den) > 0
+            ta = tb = None
+            while ta is None or tb is None or ta != tb:
+                a, b, mid, n = 2 * a, 2 * b, a + b, 2 * n
+                t = _intpoly.eval_scaled(d, mid, n)
                 if not t:  # a rational root: keep it in the middle
-                    a, b = (a + mid) / 2, (mid + b) / 2
+                    a, b, n = a + mid, mid + b, 2 * n
+                    ta, tb = _angle(a, n), _angle(b, n)
                 elif (t > 0) == s:
-                    a = mid
+                    a, ta = mid, _angle(mid, n)
                 else:
-                    b = mid
-            out.append((a, b))
+                    b, tb = mid, _angle(mid, n)
+            out.append((Fraction(a, n), Fraction(b, n)))
     return sorted(out, reverse=True)
 
 
@@ -322,7 +336,7 @@ def unit_circle_root_angles(p: LaurentPoly) -> tuple[float, ...]:
     both ends of each root's rational bracket give this double.  p must
     be palindromic and nonzero at 1 and -1, as a knot polynomial is;
     any other p is refused with :class:`PolynomialError`."""
-    return tuple(_angle(lo) for lo, _ in _root_brackets(p))
+    return tuple(_angle(*lo.as_integer_ratio()) for lo, _ in _root_brackets(p))
 
 
 def roots_in_brackets(p: LaurentPoly, brackets) -> tuple[bool, ...]:
@@ -334,7 +348,8 @@ def roots_in_brackets(p: LaurentPoly, brackets) -> tuple[bool, ...]:
     d = _circle_trace(p)
     if d is None:
         return (False,) * len(brackets)
-    return tuple((_intpoly.eval_at(d, lo) > 0) != (_intpoly.eval_at(d, hi) > 0)
+    return tuple((_intpoly.eval_scaled(d, *lo.as_integer_ratio()) > 0)
+                 != (_intpoly.eval_scaled(d, *hi.as_integer_ratio()) > 0)
                  for lo, hi in brackets)
 
 

@@ -112,11 +112,22 @@ class TestFactorCommand:
         proc = _run_module(["factor", "--poly", "1000000000039"], timeout=5)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(1000000000039)^1\n", "")
 
+    @pytest.mark.parametrize("poly,out", [
+        ("1000000000000037", "(1000000000000037)^1\n"),
+        ("2305843009213693951;2305843009213693951", "(2305843009213693951)^1 * (1;1)^1\n"),
+    ], ids=["10^15+37", "2^61-1"])
+    def test_prime_content_beyond_trial_division(self, poly, out):
+        # no prime factor up to the trial-division bound: Miller-Rabin proves it
+        proc = _run_module(["factor", "--poly", poly], timeout=5)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
     def test_content_beyond_trial_division_exits_1(self):
-        proc = _run_module(["factor", "--poly", "1000000000000037"], timeout=5)
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert re.fullmatch(r"kcg: content 1000000000000037 [^\n]*prime\n", proc.stderr)
+        for content, reason in (((2 ** 31 - 1) * 1000000000039, "is composite"),
+                                (2 ** 89 - 1, "is too large to prove prime")):
+            proc = _run_module(["factor", "--poly", str(content)], timeout=2)
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            assert re.fullmatch(rf"kcg: content {content} [^\n]* {reason}\n", proc.stderr)
 
     def test_byte_deterministic(self, capsys):
         main(["factor", "--poly", "4;-15;30;-37;30;-15;4"])

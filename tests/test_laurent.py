@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from kcg._intpoly import factor_int
 from kcg.errors import PolynomialError
 from kcg.laurent import (ONE, LaurentPoly, canonicalize, eval_int, factor,
                          is_symmetric, mul, poly_from_text, reciprocal)
@@ -149,6 +150,14 @@ class TestFactor:
         f = factor(P("4;-2"))  # 2 * (2 - t)
         assert _factor_map(f) == {"2": 1, "2;-1": 1}
         assert f.expand() == P("4;-2")
+
+    def test_content_cofactor_goes_to_miller_rabin(self):
+        # 2^61 - 1 is prime; 318665857834031151167461 = 399165290221 *
+        # 798330580441 is a strong probable prime to the bases 2 to 37,
+        # and only base 41 shows it composite
+        assert factor_int(24 * (2 ** 61 - 1)) == [(2, 3), (3, 1), (2 ** 61 - 1, 1)]
+        with pytest.raises(PolynomialError, match="is composite"):
+            factor_int(318665857834031151167461)
 
     def test_constant_input(self):
         assert _factor_map(factor(P("12"))) == {"2": 2, "3": 1}

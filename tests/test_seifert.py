@@ -1,19 +1,23 @@
 """Seifert-matrix invariants: polynomial, signatures, profile."""
 
 import cmath
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kcg import _intpoly
 from kcg.errors import PolynomialError, ProfileError, SeifertError
-from kcg.laurent import ONE, eval_int, is_symmetric, poly_from_text
-from kcg.seifert import (SeifertMatrix, SignatureProfile, alexander,
+from kcg.laurent import ONE, canonicalize, eval_int, is_symmetric, poly_from_text
+from kcg.seifert import (SeifertMatrix, SignatureProfile, _root_brackets, alexander,
                          murasugi_signature, roots_in_brackets,
                          signature_profile, unit_circle_root_angles)
-from oracles import (eig_signature, exact_lt_signature, family_seifert,
-                     random_seifert, rational_in_arc)
+from oracles import (conv_mul, cyclotomic, eig_signature, exact_lt_signature,
+                     family_seifert, random_seifert, rational_in_arc)
 
 TREFOIL = SeifertMatrix(((-1, 1), (0, -1)))
 FIGURE_EIGHT = SeifertMatrix(((1, 1), (0, -1)))
@@ -167,6 +171,57 @@ class TestUnitCircleRoots:
         # (2 - t)(1 - t + t^2) is not palindromic
         with pytest.raises(PolynomialError, match="no trace polynomial"):
             unit_circle_root_angles(poly_from_text("2;-3;3;-1"))
+
+
+# Phi_3, Phi_4 and Phi_6 have their roots at x = -1, 0 and 1, which
+# bisection midpoints can hit exactly.  Splitting (-2, 2) for Phi_3 Phi_4
+# Phi_6 and Phi_4 Phi_6 hits them, so the split point moves off the root;
+# bisecting the lone root of Phi_4, or a root of Phi_3 Phi_6, hits it, and
+# the bracket keeps it in the middle.  Brackets pinned from the earlier
+# bisection on Fractions, by decreasing x.
+RATIONAL_ROOT_BRACKETS = {
+    (3, 4, 6): (
+        ("36028797018963963/36028797018963968", "18014398509481985/18014398509481984"),
+        ("-3/36028797018963968", "1/9007199254740992"),
+        ("-36028797018963969/36028797018963968", "-18014398509481981/18014398509481984"),
+    ),
+    (4, 6): (
+        ("9007199254740991/9007199254740992", "18014398509481985/18014398509481984"),
+        ("-1/18014398509481984", "1/9007199254740992"),
+    ),
+    (4,): (
+        ("-1/9007199254740992", "1/9007199254740992"),
+    ),
+    (3, 6): (
+        ("18014398509481983/18014398509481984", "18014398509481985/18014398509481984"),
+        ("-18014398509481985/18014398509481984", "-18014398509481983/18014398509481984"),
+    ),
+}
+
+
+class TestRootIsolationKernel:
+    @settings(derandomize=True, max_examples=300, deadline=2000, database=None)
+    @given(g=st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=10),
+           a=st.integers(-2 ** 70, 2 ** 70), e=st.integers(0, 70),
+           root=st.booleans())
+    def test_eval_scaled_has_the_sign_of_the_value(self, g, a, e, root):
+        # with root, g gets the factor 2^e x - a: an exact zero at a/2^e
+        g = _intpoly.strip(g)
+        if root:
+            g = _intpoly.mul([-a, 1 << e], g)
+        got = _intpoly.eval_scaled(g, a, 1 << e)
+        want = _intpoly.eval_at(g, Fraction(a, 2 ** e))
+        assert (got > 0, got < 0) == (want > 0, want < 0)
+        assert got == want * 2 ** (e * max(_intpoly.degree(g), 0))
+        if root:
+            assert got == 0
+
+    @pytest.mark.parametrize("indices", RATIONAL_ROOT_BRACKETS,
+                             ids=lambda ix: "".join(f"Phi{d}" for d in ix))
+    def test_rational_roots_are_bracketed(self, indices):
+        p = canonicalize(functools.reduce(conv_mul, (cyclotomic(d) for d in indices)))
+        assert _root_brackets(p) == [(Fraction(lo), Fraction(hi))
+                                     for lo, hi in RATIONAL_ROOT_BRACKETS[indices]]
 
 
 class TestRootsInBrackets:

@@ -30,6 +30,24 @@ def test_profile_arcs_match_litherland(p, q):
         assert value == litherland_signature(p, q, (lo + hi) / (4 * math.pi))
 
 
+GRID = [(2, 3), (2, 5), (3, 4), (2, 7), (3, 5)]
+# T(p,q) # T(r,s) and T(p,q) # -T(r,s): T(2,3) # T(2,3) has repeated roots,
+# a mirror cancels jumps
+GRID_SUMS = [(a, b, sign) for i, a in enumerate(GRID) for b in GRID[i:] for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("a,b,sign", GRID_SUMS,
+                         ids=[f"T{a}#{'+' if sign > 0 else '-'}T{b}".replace(" ", "")
+                              for a, b, sign in GRID_SUMS])
+def test_sum_profile_arcs_match_litherland(a, b, sign):
+    second = torus_seifert(*b) if sign > 0 else mirror(torus_seifert(*b))
+    v = block_sum(torus_seifert(*a), second)
+    assert v.size <= 16
+    for (lo, hi), value in signature_profile(v).arcs:
+        x = (lo + hi) / (4 * math.pi)
+        assert value == litherland_signature(*a, x) + sign * litherland_signature(*b, x)
+
+
 def torus_sum_record(name, knots):
     """Record of the connected sum of T(p, q), sign 1, and mirrors of
     T(p, q), sign -1, over (p, q, sign) triples; every invariant comes

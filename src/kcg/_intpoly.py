@@ -21,10 +21,10 @@ lift that passes the exact test for the latter (:func:`_may_split`) is
 recombined again.  Every choice below (prime scan order, factor ordering,
 subset order) is deterministic.
 
-Integer contents are factored by trial division up to
-``TRIAL_DIVISION_BOUND``; a cofactor it cannot split is emitted when the
-deterministic Miller-Rabin test of :func:`_is_prime_mr` proves it prime,
-and refused when it is composite or not below ``MILLER_RABIN_BOUND``.
+An integer content is emitted at once when the deterministic Miller-Rabin
+test of :func:`_is_prime_mr` proves it prime, and otherwise trial-divided
+up to ``TRIAL_DIVISION_BOUND``; a cofactor left over is refused when it is
+composite or not below ``MILLER_RABIN_BOUND``.
 """
 
 from __future__ import annotations
@@ -525,9 +525,11 @@ def _primes():
 
 
 def _is_prime_mr(n):
-    """Whether the odd n, MILLER_RABIN_BASES[-1] < n < MILLER_RABIN_BOUND,
-    is prime: a strong probable prime to every base of
+    """Whether n is proved prime: odd, MILLER_RABIN_BASES[-1] < n <
+    MILLER_RABIN_BOUND, and a strong probable prime to every base of
     ``MILLER_RABIN_BASES``, which below the bound only primes are."""
+    if n % 2 == 0 or not MILLER_RABIN_BASES[-1] < n < MILLER_RABIN_BOUND:
+        return False
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -545,18 +547,16 @@ def _is_prime_mr(n):
 
 
 def factor_int(n):
-    """Prime factorization of n >= 1 as sorted (prime, exponent) pairs, by
-    trial division up to ``TRIAL_DIVISION_BOUND``; a cofactor left over is
-    emitted when :func:`_is_prime_mr` proves it prime, and refused when
-    it is composite or not below ``MILLER_RABIN_BOUND``."""
+    """Prime factorization of n >= 1 as sorted (prime, exponent) pairs.  The
+    cofactor goes to :func:`_is_prime_mr` first and after each divisor found;
+    trial division up to ``TRIAL_DIVISION_BOUND`` splits it only when that
+    fails, and refuses a cofactor it cannot split."""
     if n < 1:
         raise ValueError("expected a positive integer")
     out = []
-    p = 2
-    while p * p <= n:
+    p, prime = 2, _is_prime_mr(n)
+    while not prime and p * p <= n:
         if p > TRIAL_DIVISION_BOUND:
-            if n < MILLER_RABIN_BOUND and _is_prime_mr(n):
-                break
             why = "is composite" if n < MILLER_RABIN_BOUND else "is too large to prove prime"
             raise PolynomialError(
                 f"content {n} has no prime factor up to {TRIAL_DIVISION_BOUND} and {why}")
@@ -566,6 +566,7 @@ def factor_int(n):
                 n //= p
                 e += 1
             out.append((p, e))
+            prime = _is_prime_mr(n)
         p += 1 if p == 2 else 2
     if n > 1:
         out.append((n, 1))
@@ -644,12 +645,11 @@ def zassenhaus(f):
 
 
 def factor_primitive(f):
-    """(irreducible, multiplicity) pairs for primitive f, lc > 0, deg >= 1.
+    """(irreducible, multiplicity) pairs for primitive f, lc > 0, deg >= 1,
+    in no particular order (the caller sorts its canonical factors).
 
-    Factors come back sorted by (degree, coefficient tuple), which keeps
-    every downstream artifact byte reproducible.  An f that has a trace
-    polynomial is factored through it, whose square-free parts lift to
-    those of f.
+    An f that has a trace polynomial is factored through it, whose
+    square-free parts lift to those of f.
     """
     out = []
     trace = to_trace(f)
@@ -663,5 +663,4 @@ def factor_primitive(f):
         for part, mult in squarefree_decomposition(f):
             for w in zassenhaus(part):
                 out.append((w, mult))
-    out.sort(key=lambda item: (degree(item[0]), tuple(item[0])))
     return out

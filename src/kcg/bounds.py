@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import foxmilnor, laurent, seifert
 from .errors import RecordError
-from .laurent import LaurentPoly
+from .laurent import Factorization, LaurentPoly
 from .seifert import SeifertMatrix
 
 SLICE = "slice"
@@ -93,14 +93,12 @@ class GcBounds:
 
 
 def combine(genus4_lo: int, signature: int, poly_bound: int, genus3: int,
-            slice_status: str = NOT_SLICE, jump_enhanced: bool = False) -> GcBounds:
+            jump_enhanced: bool = False) -> GcBounds:
     """Merge the individual lower bounds into an interval.
 
     This is the pure combiner: it trusts the numbers it is handed, so it
     can replay tabulated bound columns as well as freshly computed ones.
     """
-    if slice_status == SLICE:
-        return GcBounds(0, 0, (("slice", 0),), DETERMINED)
     sig_bound = math.ceil(abs(signature) / 2)
     lower = max(genus4_lo, sig_bound, poly_bound)
     if lower > genus3:
@@ -124,12 +122,12 @@ class Analysis:
     category: str
 
 
-def analyze(k: KnotRecord, fac: laurent.Factorization | None,
+def analyze(k: KnotRecord, fac: Factorization | None,
             genus_of=None) -> Analysis:
     """Interval and category of ``k`` from ``fac``, its factorization (None
     is fine for slice records), computing the profile and residual once."""
     if k.slice_status == SLICE:
-        return Analysis(None, combine(0, 0, 0, k.genus3, SLICE), CATEGORY_SLICE)
+        return Analysis(None, GcBounds(0, 0, (("slice", 0),), DETERMINED), CATEGORY_SLICE)
     profile = seifert.signature_profile(k.seifert) if k.seifert is not None else None
     req = foxmilnor.enhanced_required_factors(fac, profile)
     bounds = combine(k.genus4[0], k.signature, foxmilnor.gc_poly_lower_bound(req),
@@ -138,11 +136,11 @@ def analyze(k: KnotRecord, fac: laurent.Factorization | None,
                     or _interval_category(k, bounds, genus_of))
 
 
-def _polynomial_category(k: KnotRecord, fac, residual: LaurentPoly) -> str | None:
+def _polynomial_category(k: KnotRecord, fac, residual: Factorization) -> str | None:
     if k.alexander.degree // 2 == k.genus3:
         if fac.irreducible:
             return CATEGORY_IRREDUCIBLE_POLY
-        if sum(m for _, m in fac.factors) >= 2 and residual == k.alexander:
+        if sum(m for _, m in fac.factors) >= 2 and residual == fac:
             return CATEGORY_NO_SYMMETRIC_PAIR
     return None
 

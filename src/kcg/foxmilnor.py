@@ -8,7 +8,8 @@ the maximal decomposition is mechanical: asymmetric irreducibles pair off
 with their reciprocal partners, symmetric ones survive exactly when their
 multiplicity is odd.  A nonzero jump of the signature function at a root
 of a discarded even symmetric power forces that factor back in, squared,
-which is how the bound sharpens past the plain decomposition.
+which is how the bound sharpens past the plain decomposition.  Both
+required factors stay factor multisets and are never multiplied out.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PolynomialError, ProfileError
-from .laurent import ONE, Factorization, LaurentPoly, factor, is_symmetric, mul, reciprocal
+from .laurent import Factorization, LaurentPoly, factor, is_symmetric, reciprocal
 from .seifert import SignatureProfile, roots_in_brackets
 
 ODD_SYMMETRIC = "odd-multiplicity-symmetric"
@@ -25,50 +26,44 @@ SIGNATURE_JUMP = "signature-jump"
 
 @dataclass(frozen=True)
 class RequiredFactors:
-    """What must divide the polynomial of every concordant knot.
+    """What must divide the polynomial of every concordant knot, as
+    factor multisets.
 
-    ``residual`` is the odd-multiplicity symmetric part; ``enhanced``
-    additionally carries squared symmetric factors forced back in by
-    signature jumps.  Both are symmetric and of even degree, and
-    residual | enhanced | the input polynomial as factor multisets.
+    ``residual`` holds the odd-multiplicity symmetric irreducibles, each
+    once; ``enhanced`` additionally holds q**2 for each even symmetric q
+    that a signature jump forces back in, and is ``residual`` itself when
+    none is.  Both expand to symmetric polynomials of even degree, and
+    residual | enhanced | the input factorization as multisets.
     """
 
-    residual: LaurentPoly
-    enhanced: LaurentPoly
-    contributors: tuple[tuple[LaurentPoly, str], ...]
+    residual: Factorization
+    enhanced: Factorization
+
+    @property
+    def contributors(self) -> tuple[tuple[LaurentPoly, str], ...]:
+        """The residual's factors, then the jump-forced ones, each tagged."""
+        return (tuple((q, ODD_SYMMETRIC) for q, _ in self.residual.factors)
+                + tuple((q, SIGNATURE_JUMP) for q, m in self.enhanced.factors if m == 2))
 
 
-def residual(fac: Factorization) -> LaurentPoly:
-    """Product of the symmetric irreducible factors taken mod-2.
+def residual(fac: Factorization) -> Factorization:
+    """The symmetric irreducible factors of odd multiplicity, each once.
 
     Reciprocal pairs and even symmetric powers belong to a maximal
     f(t) f(1/t) block and drop out; an asymmetric factor whose partner
     has a different multiplicity means the input was not palindromic.
     """
-    mult = {q: m for q, m in fac.factors}
-    out = ONE
-    done: set[LaurentPoly] = set()
-    for q, m in fac.factors:
-        if q in done:
-            continue
-        partner = reciprocal(q)
-        if partner == q:
-            if m % 2:
-                out = mul(out, q)
-            done.add(q)
-        else:
-            if mult.get(partner) != m:
-                raise PolynomialError("polynomial not palindromic")
-            done.add(q)
-            done.add(partner)
-    return out
+    mult = dict(fac.factors)
+    if any(mult.get(reciprocal(q)) != m for q, m in fac.factors):
+        raise PolynomialError("polynomial not palindromic")
+    return Factorization(tuple((q, 1) for q, m in fac.factors if m % 2 and is_symmetric(q)))
 
 
 def slice_obstruction(delta: LaurentPoly) -> bool:
     """True when the polynomial passes the norm condition required of a
     slice knot (every symmetric factor of even multiplicity); False means
     the knot is provably not slice."""
-    return residual(factor(delta)) == ONE
+    return not residual(factor(delta)).factors
 
 
 def enhanced_required_factors(fac: Factorization,
@@ -83,24 +78,19 @@ def enhanced_required_factors(fac: Factorization,
     is an inconsistency between the profile and the factorization.
     """
     res = residual(fac)
-    contributors = [(q, ODD_SYMMETRIC) for q, m in fac.factors
-                    if m % 2 and is_symmetric(q)]
-    enhanced = res
-    if profile is not None:
-        owns = {q: roots_in_brackets(q, profile.jump_brackets) for q, _ in fac.factors}
-        jumps = [b - a for a, b in zip(profile.values, profile.values[1:])]
-        if any(jump and not any(o[i] for o in owns.values())
-               for i, jump in enumerate(jumps)):
-            raise ProfileError("inconsistent profile")
-        for q, m in fac.factors:
-            if m and m % 2 == 0 and is_symmetric(q):
-                if any(abs(jump) >= 2 and owns[q][i] for i, jump in enumerate(jumps)):
-                    enhanced = mul(enhanced, mul(q, q))
-                    contributors.append((q, SIGNATURE_JUMP))
-    return RequiredFactors(residual=res, enhanced=enhanced,
-                           contributors=tuple(contributors))
+    if profile is None:
+        return RequiredFactors(res, res)
+    owns = {q: roots_in_brackets(q, profile.jump_brackets) for q, _ in fac.factors}
+    jumps = [b - a for a, b in zip(profile.values, profile.values[1:])]
+    if any(jump and not any(o[i] for o in owns.values())
+           for i, jump in enumerate(jumps)):
+        raise ProfileError("inconsistent profile")
+    forced = tuple((q, 2) for q, m in fac.factors
+                   if m and m % 2 == 0 and is_symmetric(q)
+                   and any(abs(jump) >= 2 and owns[q][i] for i, jump in enumerate(jumps)))
+    return RequiredFactors(res, res * Factorization(forced) if forced else res)
 
 
 def gc_poly_lower_bound(req: RequiredFactors) -> int:
-    """Half the degree of the enhanced required factor (degree is even)."""
-    return req.enhanced.degree // 2
+    """Half the degree of the enhanced required factors (degree is even)."""
+    return sum(q.degree * m for q, m in req.enhanced.factors) // 2

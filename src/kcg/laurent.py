@@ -152,6 +152,7 @@ class Factorization:
 
 
 def _sorted_factors(table: dict[LaurentPoly, int]):
+    """By (degree, coefficients): the one order, so every artifact is byte reproducible."""
     return tuple(sorted(table.items(), key=lambda item: (item[0].degree, item[0].coeffs)))
 
 

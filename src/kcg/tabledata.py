@@ -232,7 +232,7 @@ def _match(k: KnotRecord, candidates: KnotTable, max_summands: int,
     analysis = analysis or analyze(k, factored(k.alexander))
     if analysis.bounds.status == DETERMINED:
         raise RecordError(f"bounds for {k.name} are already determined")
-    required = factored(analysis.required.enhanced)
+    required = analysis.required.enhanced
     pool = sorted(candidates.records, key=lambda r: (r.crossings, r.name))
     fac_of = {r.name: factored(r.alexander) for r in pool}
     out = []

@@ -182,7 +182,7 @@ def test_criterion_5_residual_oracle():
     for _ in range(200):
         p = random_palindromic(rng, 10)
         fac = factor(p)
-        assert residual(fac) == bruteforce_min_residual(fac)
+        assert residual(fac).expand() == bruteforce_min_residual(fac)
 
 
 @criterion(6, "signature checks")

@@ -76,7 +76,10 @@ class TestCombine:
         assert (b.lower, b.upper, b.status) == (3, 3, DETERMINED)
 
     def test_slice(self):
-        b = combine(0, 0, 0, 3, slice_status="slice")
+        # a slice record of genus 3 never reaches the combiner: [0, 0]
+        rec = record(slice_status="slice", signature=0, genus4=(0, 0),
+                     alexander=P("2;-5;2"), genus3=3)
+        b = gc_bounds(rec)
         assert (b.lower, b.upper, b.status) == (0, 0, DETERMINED)
         assert b.contributors == (("slice", 0),)
 

@@ -1,5 +1,6 @@
 """Required-factor extraction and the polynomial genus bound."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from kcg.errors import PolynomialError, ProfileError
-from kcg.foxmilnor import (ODD_SYMMETRIC, SIGNATURE_JUMP,
+from kcg.foxmilnor import (ODD_SYMMETRIC, SIGNATURE_JUMP, RequiredFactors,
                            enhanced_required_factors, gc_poly_lower_bound,
                            residual, slice_obstruction)
 from kcg.laurent import (ONE, Factorization, factor, mul, poly_from_text,
@@ -38,16 +39,16 @@ FLAT_PROFILE = SignatureProfile(values=(0,), jump_brackets=())
 class TestResidual:
     def test_all_symmetric_factors_survive(self):
         delta = P("1;-9;28;-39;28;-9;1")
-        assert residual(factor(delta)) == delta
+        assert residual(factor(delta)).expand() == delta
 
     def test_even_power_discarded(self):
         fac = factor(mul(mul(P("1;-1;1"), P("1;-1;1")), P("4;-7;4")))
-        assert residual(fac) == P("4;-7;4")
+        assert residual(fac).expand() == P("4;-7;4")
 
     def test_reciprocal_pair_cancels(self):
         assert reciprocal(P("2;-1")) == P("1;-2")
         fac = factor(P("2;-5;2"))  # (2-t)(1-2t)
-        assert residual(fac) == ONE
+        assert residual(fac).expand() == ONE
 
     def test_non_palindromic_rejected(self):
         with pytest.raises(PolynomialError, match="polynomial not palindromic"):
@@ -57,6 +58,30 @@ class TestResidual:
         fac = factor(mul(P("2;-5;2"), P("2;-1")))  # (2-t)^2 (1-2t)
         with pytest.raises(PolynomialError, match="polynomial not palindromic"):
             residual(fac)
+
+
+class TestMultisets:
+    def test_residual_keeps_odd_symmetric_factors_once(self):
+        cube = mul(mul(P("1;-1;1"), P("1;-1;1")), P("1;-1;1"))
+        fac = factor(mul(mul(cube, P("4;-7;4")), mul(P("2;-5;2"), P("4;-7;4"))))
+        assert residual(fac) == Factorization(((P("1;-1;1"), 1),))
+
+    def test_only_residual_and_enhanced_are_stored(self):
+        assert [f.name for f in dataclasses.fields(RequiredFactors)] == [
+            "residual", "enhanced"]
+
+    def test_no_forced_factor_keeps_the_residual(self):
+        req = enhanced_required_factors(TestEnhancement.F_QUIET, FLAT_PROFILE)
+        assert req.enhanced is req.residual
+
+    def test_forced_square_joins_the_multiset(self):
+        req = enhanced_required_factors(TestEnhancement.F_JUMPY,
+                                        profile_with_jump(PI / 3, 4))
+        assert req.enhanced == Factorization(
+            ((P("1;-1;1"), 2), (P("1;-1;1;-1;1"), 1)))
+        # the residual's factors first, then the jump-forced ones
+        assert req.contributors == ((P("1;-1;1;-1;1"), ODD_SYMMETRIC),
+                                    (P("1;-1;1"), SIGNATURE_JUMP))
 
 
 class TestSliceObstruction:
@@ -76,25 +101,29 @@ class TestEnhancement:
 
     def test_jump_forces_square_back_in(self):
         req = enhanced_required_factors(self.F_JUMPY, profile_with_jump(PI / 3, 4))
-        assert req.residual == P("1;-1;1;-1;1")
+        assert req.residual.expand() == P("1;-1;1;-1;1")
         expected = mul(mul(P("1;-1;1"), P("1;-1;1")), P("1;-1;1;-1;1"))
-        assert req.enhanced == expected
-        assert req.enhanced.degree == 8
+        assert req.enhanced.expand() == expected
+        assert req.enhanced.expand().degree == 8
         assert (P("1;-1;1"), SIGNATURE_JUMP) in req.contributors
         assert (P("1;-1;1;-1;1"), ODD_SYMMETRIC) in req.contributors
 
     def test_negative_jump_counts(self):
         req = enhanced_required_factors(self.F_JUMPY, profile_with_jump(PI / 3, -4))
-        assert req.enhanced.degree == 8
+        assert req.enhanced.expand().degree == 8
+
+    def test_jump_of_two_suffices(self):
+        req = enhanced_required_factors(self.F_JUMPY, profile_with_jump(PI / 3, 2))
+        assert gc_poly_lower_bound(req) == 4
 
     def test_no_jump_no_enhancement(self):
         prof = SignatureProfile(values=(0, 0), jump_brackets=(bracket(PI / 3),))
         req = enhanced_required_factors(self.F_QUIET, prof)
-        assert req.residual == req.enhanced == P("4;-7;4")
+        assert req.residual.expand() == req.enhanced.expand() == P("4;-7;4")
 
     def test_absent_profile(self):
         req = enhanced_required_factors(Factorization(()), None)
-        assert req.residual == req.enhanced == ONE
+        assert req.residual.expand() == req.enhanced.expand() == ONE
         assert req.contributors == ()
 
     def test_jump_at_foreign_angle_rejected(self):
@@ -103,14 +132,14 @@ class TestEnhancement:
 
     def test_flat_profile_is_consistent(self):
         req = enhanced_required_factors(self.F_QUIET, FLAT_PROFILE)
-        assert req.enhanced == P("4;-7;4")
+        assert req.enhanced.expand() == P("4;-7;4")
 
     def test_odd_multiplicity_not_enhanced(self):
         # the quadratic already sits in the residual once; a jump at its
         # root must not multiply it in again
         fac = Factorization(((P("1;-1;1"), 1),))
         req = enhanced_required_factors(fac, profile_with_jump(PI / 3, 2))
-        assert req.enhanced == P("1;-1;1")
+        assert req.enhanced.expand() == P("1;-1;1")
 
 
 class TestPolyLowerBound:
@@ -134,7 +163,7 @@ class TestResidualProperties:
         rng = random.Random(41)
         for _ in range(80):
             p = random_palindromic(rng, 10)
-            r = residual(factor(p))
+            r = residual(factor(p)).expand()
             assert reciprocal(r) == r
             assert r.degree % 2 == 0
 
@@ -142,19 +171,19 @@ class TestResidualProperties:
         rng = random.Random(43)
         for _ in range(60):
             p = random_palindromic(rng, 10)
-            r = residual(factor(p))
-            assert residual(factor(r)) == r
+            r = residual(factor(p)).expand()
+            assert residual(factor(r)).expand() == r
 
     def test_monotone_degrees(self):
         rng = random.Random(47)
         for _ in range(60):
             p = random_palindromic(rng, 10)
             req = enhanced_required_factors(factor(p), None)
-            assert req.residual.degree <= req.enhanced.degree <= p.degree
+            assert req.residual.expand().degree <= req.enhanced.expand().degree <= p.degree
 
     def test_brute_force_equivalence_small(self):
         rng = random.Random(53)
         for _ in range(60):
             p = random_palindromic(rng, 10)
             fac = factor(p)
-            assert residual(fac) == bruteforce_min_residual(fac)
+            assert residual(fac).expand() == bruteforce_min_residual(fac)

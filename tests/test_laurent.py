@@ -1,6 +1,8 @@
 """Canonical-form arithmetic and integer factorization."""
 
+import math
 import random
+import time
 
 import pytest
 
@@ -158,6 +160,19 @@ class TestFactor:
         assert factor_int(24 * (2 ** 61 - 1)) == [(2, 3), (3, 1), (2 ** 61 - 1, 1)]
         with pytest.raises(PolynomialError, match="is composite"):
             factor_int(318665857834031151167461)
+
+    def test_prime_cofactors_skip_trial_division(self):
+        # Miller-Rabin runs first and after each divisor found, so a prime
+        # cofactor never waits on trial division up to 2^20 (about 0.1 s)
+        cases = {1099511627689: [(1099511627689, 1)],
+                 3 * 5 ** 2 * (2 ** 61 - 1): [(3, 1), (5, 2), (2 ** 61 - 1, 1)]}
+        for n, want in cases.items():
+            best = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                assert factor_int(n) == want
+                best = min(best, time.perf_counter() - start)
+            assert best < 0.020, (n, best)
 
     def test_constant_input(self):
         assert _factor_map(factor(P("12"))) == {"2": 2, "3": 1}

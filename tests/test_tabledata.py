@@ -10,7 +10,7 @@ from kcg.laurent import factor, poly_from_text
 from kcg.tabledata import (KnotTable, census, concordant_fixture,
                            match_candidates, parse_table, reference_table,
                            report_tsv, serialize, slice_fixture,
-                           unknown_fixture, _achievable_signatures)
+                           unknown_fixture, _achievable_signatures, _match)
 from oracles import divides_exactly
 
 HEADER = ("name,crossings,alexander,signature,genus3,genus4_min,genus4_max,"
@@ -172,6 +172,20 @@ class TestMatcher:
                 assert divides_exactly(list(req.coeffs),
                                        list(m.combined_alexander.coeffs))
 
+    def test_required_factors_are_not_factored_again(self):
+        # the matcher reads the required multiset off the analysis: it
+        # factors the query and the pool, and no product of them
+        rec = unknown_fixture().find("11a_6")
+        seen = []
+
+        def factored(p):
+            seen.append(p)
+            return factor(p)
+
+        assert _match(rec, reference_table(), 2, factored)
+        assert set(seen) == {rec.alexander} | {
+            r.alexander for r in reference_table().records}
+
     def test_mirror_closure(self):
         # mirroring every summand negates the combined signature, so the
         # achievable set is symmetric about zero
@@ -189,7 +203,7 @@ class TestMatcher:
 
 def _required_poly(rec):
     from kcg.foxmilnor import enhanced_required_factors
-    return enhanced_required_factors(factor(rec.alexander), None).enhanced
+    return enhanced_required_factors(factor(rec.alexander), None).enhanced.expand()
 
 
 class TestCensusCandidateColumn:

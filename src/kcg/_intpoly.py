@@ -4,12 +4,17 @@ A polynomial is a list of Python ints, constant coefficient first, with no
 trailing zeros; ``[]`` is the zero polynomial.  Everything is arbitrary
 precision, no floats.
 
-Factorization follows the classical route: Yun square-free decomposition,
-Berlekamp factorization modulo the first usable prime, quadratic Hensel
-lifting up to a Mignotte-style coefficient bound, then subset
-recombination with exact trial division.  Recombination is exponential in
-the number of modular factors, so it counts its subset trials and refuses
-past ``RECOMBINATION_BUDGET``: a refusal, never a hang.
+Factorization follows the classical route, cut short where it can be.  A
+polynomial square free modulo a small prime is proved square free there,
+and only the others run Yun's decomposition.  Modulo the first usable
+prime, the roots come first, by evaluation at every residue, and only a
+root-free rest of degree 4 or more goes to Berlekamp.  Quadratic Hensel
+lifting runs one step at a time and tries each single lifted factor by
+exact division after every step, so it stops at the first exact factors;
+only the lifts left unmatched at a Mignotte-style bound are recombined in
+subsets.  Recombination is exponential in the number of modular factors,
+so it counts its subset trials and refuses past ``RECOMBINATION_BUDGET``:
+a refusal, never a hang.
 
 Knot polynomials are palindromic, and a palindromic h of degree 2m with
 h(1) h(-1) != 0 is factored at half the degree through its trace
@@ -37,6 +42,11 @@ from .errors import PolynomialError
 #: Subset trials one recombination may make before it refuses the input.
 RECOMBINATION_BUDGET = 2000
 
+#: Largest degree :func:`factor_primitive` factors: that of the trace
+#: polynomial on the trace route (whose lifts then have at most twice this
+#: degree), of the input otherwise.  Past it the input is refused.
+FACTOR_DEGREE_CAP = 64
+
 #: Largest trial divisor of an integer content; a cofactor with no divisor
 #: up to it is prime when below its square, and goes to Miller-Rabin
 #: otherwise.
@@ -54,11 +64,11 @@ MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def strip(f):
-    """Drop trailing zero coefficients."""
-    n = len(f)
-    while n and f[n - 1] == 0:
-        n -= 1
-    return list(f[:n])
+    """Drop trailing zero coefficients of a list the caller owns, in place,
+    and return it."""
+    while f and f[-1] == 0:
+        f.pop()
+    return f
 
 
 def degree(f):
@@ -79,7 +89,11 @@ def add(f, g):
 
 
 def sub(f, g):
-    return add(f, neg(g))
+    out = list(f)
+    out += [0] * (len(g) - len(f))
+    for i, c in enumerate(g):
+        out[i] -= c
+    return strip(out)
 
 
 def mul(f, g):
@@ -183,7 +197,7 @@ def _pseudo_rem(f, g):
 
 def gcd(f, g):
     """Greatest common divisor in Z[x], positive leading coefficient."""
-    f, g = strip(f), strip(g)
+    f, g = strip(list(f)), strip(list(g))
     if not f:
         return neg(g) if g and g[-1] < 0 else list(g)
     if not g:
@@ -201,9 +215,14 @@ def gcd(f, g):
 
 
 def squarefree_decomposition(f):
-    """Yun's algorithm.  f must be primitive with positive leading
-    coefficient and degree at least one; returns [(part, multiplicity)]
-    with pairwise-coprime square-free parts whose weighted product is f."""
+    """[(part, multiplicity)] with pairwise-coprime square-free parts whose
+    weighted product is f, which must be primitive with positive leading
+    coefficient and degree at least one.  f is returned whole when it is
+    square free modulo one of the first five primes (:func:`_squarefree_prime`
+    proves it square free); only other inputs run Yun's algorithm, with
+    its integer gcds."""
+    if _squarefree_prime(f, (2, 3, 5, 7, 11)) is not None:
+        return [(f, 1)]
     out = []
     fp = derivative(f)
     a = gcd(f, fp)
@@ -346,11 +365,15 @@ def gf_pow_mod(f, e, mod, p):
     return out
 
 
-def gf_is_squarefree(f, p):
-    fd = gf_trunc(derivative(f), p)
-    if not fd:
-        return False
-    return degree(gf_gcd(f, fd, p)) == 0
+def _squarefree_prime(f, primes):
+    """The first of ``primes`` that does not divide lc(f) and modulo which f
+    (of degree >= 1) is square free, or None.  Such a prime proves f square
+    free over Z: a square g^2 dividing f would reduce to one of the same
+    degree."""
+    for q in primes:
+        if f[-1] % q and degree(gf_gcd(f, derivative(f), q)) == 0:
+            return q
+    return None
 
 
 def _gf_nullspace(m, p):
@@ -384,16 +407,37 @@ def _gf_nullspace(m, p):
     return basis
 
 
+def gf_factor(f, p):
+    """Monic irreducible factors of a monic square-free f over GF(p),
+    sorted by (degree, coefficients).
+
+    Roots first: f is evaluated at every residue, and each root a gives
+    the factor x - a.  That costs no more than one pass of Berlekamp's
+    splitting loop, which tries every residue too, because the primes
+    :func:`zassenhaus` picks are tiny.  The root-free rest is irreducible
+    when its degree is 2 or 3, and goes to :func:`berlekamp` when it is 4
+    or more.
+    """
+    out, rest = [], f
+    for a in range(p):
+        if eval_at(rest, a) % p == 0:
+            out.append([-a % p, 1])
+            rest = gf_quo(rest, out[-1], p)
+    if degree(rest) >= 4:
+        out += berlekamp(rest, p)
+    elif degree(rest) >= 2:
+        out.append(rest)
+    return sorted(out, key=lambda g: (degree(g), g))
+
+
 def berlekamp(f, p):
-    """Monic irreducible factors of a monic square-free f over GF(p).
+    """Monic irreducible factors of a monic square-free f over GF(p), which
+    :func:`gf_factor` calls only with a root-free f of degree 4 or more.
 
     Deterministic for any prime, including 2: the splitting loop tries
-    every residue s in GF(p), which is cheap because the admissible
-    primes found by the scan in :func:`zassenhaus` are tiny.
+    every residue s in GF(p).
     """
     n = degree(f)
-    if n == 1:
-        return [list(f)]
     xp = gf_pow_mod([0, 1], p, f, p)
     rows = []
     cur = [1]
@@ -415,9 +459,6 @@ def berlekamp(f, p):
             continue
         split = []
         for w in factors:
-            if degree(w) == 1:
-                split.append(w)
-                continue
             rest = w
             for s in range(p):
                 if degree(rest) < 1:
@@ -433,7 +474,7 @@ def berlekamp(f, p):
         factors = split
         if len(factors) == r:
             break
-    return sorted(factors, key=lambda g: (degree(g), tuple(g)))
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -442,84 +483,81 @@ def berlekamp(f, p):
 
 def trunc_sym(f, m):
     """Reduce coefficients to symmetric representatives in (-m/2, m/2]."""
-    out = []
-    for c in f:
-        c %= m
-        if c > m // 2:
-            c -= m
-        out.append(c)
-    return strip(out)
+    half = m // 2
+    return strip([c - m if c > half else c for c in (c % m for c in f)])
 
 
-def _hensel_step(m, f, g, h, s, t):
-    """One quadratic lifting step: from f = g h (mod m), s g + t h = 1
-    (mod m), h monic, to the same congruences mod m**2."""
-    mm = m * m
-    e = trunc_sym(sub(f, mul(g, h)), mm)
-    # gf_divmod only inverts the leading coefficient, 1 modulo any mm
-    q, r = gf_divmod(mul(s, e), h, mm)
-    big_g = trunc_sym(add(g, add(mul(t, e), mul(q, g))), mm)
-    big_h = trunc_sym(add(h, r), mm)
-    b = trunc_sym(sub(add(mul(s, big_g), mul(t, big_h)), [1]), mm)
-    c, d = gf_divmod(mul(s, b), big_h, mm)
-    big_s = trunc_sym(sub(s, d), mm)
-    big_t = trunc_sym(sub(t, add(mul(t, b), mul(c, big_g))), mm)
-    return big_g, big_h, big_s, big_t
+def hensel_lift(p, f, factors):
+    """Lift the monic pairwise-coprime factors of f modulo p, p not
+    dividing lc(f), one quadratic step at a time: the k-th value yielded
+    is (p^(2^k), the monic lifts of ``factors`` modulo it, in order).
 
+    The factors are the leaves of a balanced binary tree.  A node holds
+    g, lc(f) times the product of its left leaves, h, the monic product
+    of its right ones, and s, t with s g + t h = 1.  For each value, every
+    node lifts g and h under its parent's lifted g or h (multifactor
+    Hensel lifting, von zur Gathen and Gerhard, Modern Computer Algebra,
+    Algorithm 15.17, one precision level at a time).  s and t are lifted
+    only when the caller asks for the next value, so a caller that stops
+    at the first exact factors pays for no Bezout step it does not use.
+    """
 
-def hensel_lift(p, f, factors, l):
-    """Lift monic pairwise-coprime factors of f modulo p to modulo p**l."""
-    r = len(factors)
-    pl = p ** l
-    if r == 1:
-        inv = pow(f[-1] % pl, -1, pl)
-        return [trunc_sym(mul_ground(f, inv), pl)]
-    k = r // 2
-    g = [f[-1] % p]
-    for fi in factors[:k]:
-        g = gf_mul(g, gf_trunc(fi, p), p)
-    h = gf_trunc(factors[k], p)
-    for fi in factors[k + 1:]:
-        h = gf_mul(h, gf_trunc(fi, p), p)
-    s, t, one = gf_gcdex(g, h, p)
-    if degree(one) != 0:
-        raise ArithmeticError("modular factors not coprime")
-    # normalize: deg s < deg h, deg t < deg g
-    s = gf_rem(s, h, p)
-    t, rem = gf_divmod(gf_sub([1], gf_mul(s, g, p), p), h, p)
-    if rem:
-        raise ArithmeticError("Bezout normalization failed")
-    g, h, s, t = (trunc_sym(x, p) for x in (g, h, s, t))
-    m = p
-    steps = math.ceil(math.log2(l)) if l > 1 else 0
-    for _ in range(steps):
-        g, h, s, t = _hensel_step(m, f, g, h, s, t)
-        m = m * m
-    return hensel_lift(p, g, factors[:k], l) + hensel_lift(p, h, factors[k:], l)
+    def build(f, factors):
+        if len(factors) == 1:
+            return None
+        k = len(factors) // 2
+        g, h = [f[-1] % p], [1]
+        for fi in factors[:k]:
+            g = gf_mul(g, fi, p)
+        for fi in factors[k:]:
+            h = gf_mul(h, fi, p)
+        # Euclid's cofactors have deg s < deg h and deg t < deg g, as needed
+        s, t, _ = gf_gcdex(g, h, p)
+        return [trunc_sym(x, p) for x in (g, h, s, t)] + [
+            build(g, factors[:k]), build(h, factors[k:])]
+
+    def lift(node, f, mm, leaves):
+        """From f = g h modulo m = sqrt(mm) to f = G H modulo mm, G = g and
+        H = h modulo m; a leaf appends f made monic."""
+        if node is None:
+            leaves.append(f if f[-1] == 1 else trunc_sym(mul_ground(f, pow(f[-1], -1, mm)), mm))
+            return
+        g, h, s, t = node[:4]
+        e = trunc_sym(sub(f, mul(g, h)), mm)
+        # gf_divmod only inverts the leading coefficient, 1 modulo any mm
+        q, r = gf_divmod(mul(s, e), h, mm)
+        node[:2] = trunc_sym(add(g, add(mul(t, e), mul(q, g))), mm), trunc_sym(add(h, r), mm)
+        lift(node[4], node[0], mm, leaves)
+        lift(node[5], node[1], mm, leaves)
+
+    def lift_bezout(node, mm):
+        """From s g + t h = 1 modulo sqrt(mm), g and h lifted, to modulo mm."""
+        if node is not None:
+            g, h, s, t = node[:4]
+            b = trunc_sym(sub(add(mul(s, g), mul(t, h)), [1]), mm)
+            c, d = gf_divmod(mul(s, b), h, mm)
+            node[2:4] = trunc_sym(sub(s, d), mm), trunc_sym(sub(t, add(mul(t, b), mul(c, g))), mm)
+            lift_bezout(node[4], mm)
+            lift_bezout(node[5], mm)
+
+    tree, m = build(f, factors), p
+    while True:
+        m *= m
+        leaves = []
+        lift(tree, f, m, leaves)
+        yield m, leaves
+        lift_bezout(tree, m)
 
 
 # ---------------------------------------------------------------------------
 # factorization over Z
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _primes():
     yield 2
     n = 3
     while True:
-        if _is_prime(n):
+        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
             yield n
         n += 2
 
@@ -584,63 +622,66 @@ def _factor_bound(f):
 
 
 def zassenhaus(f):
-    """Irreducible factors of f: primitive, square free, lc > 0, deg >= 1."""
+    """Irreducible factors of f: primitive, square free, lc > 0, deg >= 1.
+
+    f is reduced modulo the first prime p that keeps it square free and
+    of the same degree, and factored there by :func:`gf_factor`.  The
+    modular factors are lifted by :func:`hensel_lift`.  After every
+    quadratic step, each single lift is tried as a factor by exact
+    division; a true factor with small coefficients is found, and the
+    lifting stops, long before the Mignotte-style bound of
+    :func:`_factor_bound`.  Only the lifts still unmatched at that bound
+    are recombined in subsets of two or more, and those trials count
+    against ``RECOMBINATION_BUDGET``.
+    """
     n = degree(f)
     if n == 1:
         return [list(f)]
-    b = f[-1]
-    big_b = _factor_bound(f)
-    p = None
-    for q in _primes():
-        if b % q == 0:
-            continue
-        if gf_is_squarefree(gf_trunc(f, q), q):
-            p = q
-            break
-    l = 1
-    pl = p
-    while pl < 2 * big_b + 1:
-        pl *= p
-        l += 1
-    modular = berlekamp(gf_monic(gf_trunc(f, p), p), p)
+    p = _squarefree_prime(f, _primes())
+    modular = gf_factor(gf_monic(gf_trunc(f, p), p), p)
     if len(modular) == 1:
         return [list(f)]
-    lifted = hensel_lift(p, list(f), [trunc_sym(g, p) for g in modular], l)
-    pl = p ** l
+    big_b = _factor_bound(f)
+    out, cur = [], list(f)
+    remaining = list(range(len(modular)))
 
-    remaining = list(range(len(lifted)))
-    out = []
-    cur = list(f)
-    size = 1
+    def split_off(subset):  # whether the lifts modulo m in subset give a factor of cur
+        nonlocal cur
+        cand = [cur[-1]]
+        for i in subset:
+            cand = mul(cand, lifted[i])
+        _, cand = primitive(trunc_sym(cand, m))
+        if cand[-1] < 0:
+            cand = neg(cand)
+        # the constant term must divide, which rules out most candidates
+        quo = None if cand[0] and cur[0] % cand[0] else try_div(cur, cand)
+        if quo is None:
+            return False
+        out.append(cand)
+        cur = quo
+        remaining[:] = [i for i in remaining if i not in subset]
+        return True
+
+    for m, lifted in hensel_lift(p, f, modular):
+        for i in list(remaining):
+            if len(remaining) > 1:
+                split_off((i,))
+        if len(remaining) == 1 or m > 2 * big_b:
+            break
+    size = 2
     trials = 0
     while 2 * size <= len(remaining):
-        found = False
         for subset in combinations(remaining, size):
             trials += 1
             if trials > RECOMBINATION_BUDGET:
                 raise PolynomialError(
                     f"factoring a degree-{n} part needs more than "
                     f"{RECOMBINATION_BUDGET} recombination trials")
-            cand = [cur[-1]]
-            for i in subset:
-                cand = mul(cand, lifted[i])
-            cand = trunc_sym(cand, pl)
-            _, cand = primitive(cand)
-            if not cand or degree(cand) < 1:
-                continue
-            if cand[-1] < 0:
-                cand = neg(cand)
-            quo = try_div(cur, cand)
-            if quo is not None:
-                out.append(cand)
-                cur = quo
-                remaining = [i for i in remaining if i not in subset]
-                found = True
+            if split_off(subset):
                 break
-        if not found:
+        else:
             size += 1
-    if degree(cur) > 0:
-        out.append(cur)
+    out.append(cur)
     return out
 
 
@@ -649,10 +690,13 @@ def factor_primitive(f):
     in no particular order (the caller sorts its canonical factors).
 
     An f that has a trace polynomial is factored through it, whose
-    square-free parts lift to those of f.
+    square-free parts lift to those of f.  ``FACTOR_DEGREE_CAP`` bounds
+    the degree of the trace polynomial, or of f when there is none.
     """
     out = []
     trace = to_trace(f)
+    if degree(f if trace is None else trace) > FACTOR_DEGREE_CAP:
+        raise PolynomialError("degree limit exceeded")
     if trace is not None:
         for part, mult in squarefree_decomposition(trace):
             for d in zassenhaus(part):

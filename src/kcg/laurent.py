@@ -17,10 +17,6 @@ from dataclasses import dataclass
 from . import _intpoly
 from .errors import PolynomialError
 
-#: Hard cap on factorization degree.  Work is capped too, by
-#: ``_intpoly.RECOMBINATION_BUDGET``: an input past either is refused.
-FACTOR_DEGREE_CAP = 64
-
 
 @dataclass(frozen=True)
 class LaurentPoly:
@@ -164,12 +160,11 @@ def factor(p: LaurentPoly) -> Factorization:
     A palindromic primitive part that vanishes at neither 1 nor -1, as
     every knot polynomial's, is factored at half its degree through its
     trace polynomial (see :mod:`kcg._intpoly`).  An input whose
-    recombination needs too many trials, or whose content trial division
-    can neither split nor prove prime, is refused with
-    :class:`PolynomialError`.
+    factored degree passes ``_intpoly.FACTOR_DEGREE_CAP`` (the trace
+    polynomial's degree on that route), whose recombination needs too many
+    trials, or whose content trial division can neither split nor prove
+    prime, is refused with :class:`PolynomialError`.
     """
-    if p.degree > FACTOR_DEGREE_CAP:
-        raise PolynomialError("degree limit exceeded")
     table: dict[LaurentPoly, int] = {}
     cont, prim = _intpoly.primitive(list(p.coeffs))
     for q, e in _intpoly.factor_int(cont):

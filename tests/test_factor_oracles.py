@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kcg import _intpoly
 from kcg.errors import PolynomialError
 from kcg.laurent import LaurentPoly, factor
 from oracles import (conv_mul, cyclotomic, reverse_and_normalize, swinnerton_dyer,
@@ -70,6 +71,21 @@ class TestTorusKnots:
     def test_connected_sums_and_powers(self, knots):
         delta = functools.reduce(conv_mul, (torus_alexander(p, q) for p, q in knots))
         assert_factors(delta, torus_multiset(knots))
+
+    # the degree cap bounds the trace polynomial, 60 and 42 here, not the input
+    @pytest.mark.parametrize("knots", [[(11, 13)], [(3, 8), (5, 8), (7, 8)]],
+                             ids=["T11_13", "T38+T58+T78"])
+    def test_past_degree_64_through_the_trace(self, knots):
+        delta = functools.reduce(conv_mul, (torus_alexander(p, q) for p, q in knots))
+        assert len(delta) - 1 in (120, 84)
+        start = time.perf_counter()
+        assert_factors(delta, torus_multiset(knots))
+        assert time.perf_counter() - start < 2
+
+    def test_trace_past_the_cap_is_refused(self):
+        p = LaurentPoly(canon(torus_alexander(13, 16)))  # degree 180, trace 90
+        with pytest.raises(PolynomialError, match="degree limit exceeded"):
+            factor(p)
 
 
 PAIR = ((2, -1), (1, -2))  # t - 2 and 2t - 1, each the other's reciprocal
@@ -157,19 +173,123 @@ class TestRecombinationBudget:
         assert product([list(q.coeffs) for q, m in got for _ in range(m)]) == p.coeffs
 
 
+# t^4 - 5t^2 + 1 = SD(2t)/16 for SD = swinnerton_dyer([3, 7]), whose roots are
+# +-sqrt 3 +- sqrt 7: irreducible, and its trace x^2 - 7 splits modulo 3
+SD37_HALVED = canon([c * 2 ** k // 16 for k, c in enumerate(swinnerton_dyer([3, 7]))])
+SD235 = canon(swinnerton_dyer([2, 3, 5]))
+SD237 = canon(swinnerton_dyer([2, 3, 7]))
+
+
+@pytest.fixture
+def kernel(monkeypatch):
+    """Records calls to the modular kernel of ``kcg._intpoly`` as (name,
+    arguments, result), so that a test can check that its input takes the
+    path it is meant to.  ``gcd`` is called only by Yun's algorithm, and
+    ``hensel_lift`` logs (p, f) and the modulus of every quadratic step."""
+    log = []
+    for name in ("gf_factor", "berlekamp", "gcd"):
+        def spy(*args, _name=name, _real=getattr(_intpoly, name)):
+            out = _real(*args)
+            log.append((_name, args, out))
+            return out
+        monkeypatch.setattr(_intpoly, name, spy)
+
+    def lift_spy(p, f, factors, _real=_intpoly.hensel_lift):
+        for m, lifted in _real(p, f, factors):
+            log.append(("hensel_lift", (p, f), m))
+            yield m, lifted
+    monkeypatch.setattr(_intpoly, "hensel_lift", lift_spy)
+    return log
+
+
+def calls(log, name):
+    return [(args, out) for n, args, out in log if n == name]
+
+
+def last_lift(log):
+    """(f, modulus) of the last quadratic step."""
+    (_, f), m = calls(log, "hensel_lift")[-1]
+    return f, m
+
+
+class TestModularPaths:
+    # each is irreducible with exactly two modular factors at the scan's
+    # prime: on the trace (SD37_HALVED), on the lift of an irreducible trace
+    # (cyclotomic), or on a non-palindromic input (7 - t^2)
+    @pytest.mark.parametrize("coeffs", [
+        SD37_HALVED, canon(cyclotomic(12)), canon(cyclotomic(15)),
+        canon(cyclotomic(17)), (7, 0, -1),
+    ], ids=["SD37_halved", "phi12", "phi15", "phi17", "7-t^2"])
+    def test_two_modular_factors_are_lifted_to_the_bound(self, kernel, coeffs):
+        assert_factors(coeffs, {coeffs: 1})
+        assert 2 in [len(out) for _, out in calls(kernel, "gf_factor")]
+        f, m = last_lift(kernel)
+        assert m > 2 * _intpoly._factor_bound(f)
+
+    def test_lifting_stops_at_the_first_exact_factor(self, kernel):
+        # two modular factors, found exactly only once the modulus passes
+        # 2 * 3000007, and still far below the coefficient bound
+        a, b = (1000003, 0, 1), (3000007, 0, 1)
+        assert_factors(conv_mul(a, b), {a: 1, b: 1})
+        assert [len(out) for _, out in calls(kernel, "gf_factor")] == [2]
+        f, m = last_lift(kernel)
+        assert 2 * 3000007 < m < 2 * _intpoly._factor_bound(f)
+
+    @pytest.mark.parametrize("factors", [
+        [SD235, SD237],  # found by recombining four of eight modular factors
+        [SD235, PAIR[0], PAIR[1]],  # left over after the two linear factors
+    ], ids=["SD8*SD8'", "SD8*pair"])
+    def test_factors_of_several_modular_factors(self, kernel, factors):
+        assert_factors(product(factors), Counter(factors))
+        # more modular factors than true ones: some factor takes several
+        assert max(len(out) for _, out in calls(kernel, "gf_factor")) > len(factors)
+
+    @pytest.mark.parametrize("factors", [
+        [canon(cyclotomic(11))], [canon(cyclotomic(12))], [SD235],
+        [(1000003, 0, 1), (3000007, 0, 1)],
+    ], ids=["phi11", "phi12", "SD8", "two-quadratics"])
+    def test_root_free_rest_of_degree_4_reaches_berlekamp(self, kernel, factors):
+        assert_factors(product(factors), Counter(factors))
+        rests = calls(kernel, "berlekamp")
+        assert rests
+        for (f, p), _ in rests:
+            assert len(f) - 1 >= 4
+            assert all(sum(c * a ** k for k, c in enumerate(f)) % p for a in range(p))
+
+    @pytest.mark.parametrize("n", [5, 7, 8, 9])
+    def test_root_free_rest_below_degree_4_skips_berlekamp(self, kernel, n):
+        coeffs = canon(cyclotomic(n))  # its trace has degree 2 or 3
+        assert_factors(coeffs, {coeffs: 1})
+        assert [len(out) for _, out in calls(kernel, "gf_factor")] == [1]
+        assert not calls(kernel, "berlekamp")
+
+    @pytest.mark.parametrize("knots", [[(2, 3), (2, 3)], [(2, 5), (2, 5), (3, 4)]],
+                             ids=["T23^2", "T25^2+T34"])
+    def test_non_squarefree_trace_runs_yun(self, kernel, knots):
+        delta = functools.reduce(conv_mul, (torus_alexander(p, q) for p, q in knots))
+        assert_factors(delta, torus_multiset(knots))
+        assert calls(kernel, "gcd")
+
+    def test_squarefree_trace_skips_yun(self, kernel):
+        assert_factors(torus_alexander(3, 7), torus_multiset([(3, 7)]))
+        assert not calls(kernel, "gcd")
+
+
 # Known irreducibles, drawn in blocks so that palindromic products, which
 # take the trace route, come up often: a reciprocal pair is one block.
 BLOCKS = (
-    # symmetric
+    # symmetric; SD37_HALVED has two modular factors at the scan's prime
     ((1, -3, 1),), ((2, -3, 2),), ((4, -7, 4),), ((1, -3, 5, -3, 1),),
-    ((2, -6, 7, -6, 2),), ((1, -5, 7, -5, 1),),
+    ((2, -6, 7, -6, 2),), ((1, -5, 7, -5, 1),), (SD37_HALVED,),
     # reciprocal pairs
     ((2, -1), (1, -2)), ((3, -2), (2, -3)), ((1, -2, 3, -1), (1, -3, 2, -1)),
     ((1, 1, -1), (1, -1, -1)),
     # cyclotomic
-    *((canon(cyclotomic(n)),) for n in (1, 2, 3, 4, 5, 6, 8, 10, 12)),
-    # neither
+    # (the lifts of the traces of 12 and 15 have two modular factors)
+    *((canon(cyclotomic(n)),) for n in (1, 2, 3, 4, 5, 6, 8, 10, 12, 15)),
+    # neither; 7 - t^2 has two modular factors at the scan's prime
     ((2, 1, 3),), ((1, 1, 0, 1),), ((1, 0, 0, 2),), ((5, -2),), ((2, -1),),
+    ((7, 0, -1),),
     # constants
     ((2,),), ((3,),),
 )

@@ -9,9 +9,9 @@ tables never matters here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import foxmilnor, laurent, seifert
+from ._record import Record
 from .errors import RecordError
 from .laurent import Factorization, LaurentPoly
 from .seifert import SeifertMatrix
@@ -35,8 +35,7 @@ CATEGORIES = (CATEGORY_SLICE, CATEGORY_IRREDUCIBLE_POLY,
               CATEGORY_CONCORDANT, CATEGORY_UNKNOWN)
 
 
-@dataclass(frozen=True)
-class KnotRecord:
+class KnotRecord(Record):
     """One knot's tabulated invariants.
 
     ``genus4`` is an interval [lo, hi]; when the table leaves it blank the
@@ -77,8 +76,7 @@ class KnotRecord:
                 "inconsistent knot record: Seifert matrix does not match the polynomial")
 
 
-@dataclass(frozen=True)
-class GcBounds:
+class GcBounds(Record):
     """Concordance-genus interval with contributor provenance.
 
     ``contributors`` lists every bound source that achieved the lower
@@ -115,8 +113,7 @@ def combine(genus4_lo: int, signature: int, poly_bound: int, genus3: int,
     return GcBounds(lower, genus3, tuple(contributors), status)
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(Record):
     required: foxmilnor.RequiredFactors | None  # None for slice records
     bounds: GcBounds
     category: str

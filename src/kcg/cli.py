@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .bounds import CATEGORIES, gc_bounds
 from .errors import KcgError
@@ -21,7 +20,8 @@ from .tabledata import KnotTable, census, match_candidates, parse_table, report_
 
 def _read_table(path: str) -> KnotTable:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise KcgError(f"cannot read table {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -77,7 +77,11 @@ def _cmd_census(args) -> int:
     candidates = _read_table(args.candidates) if args.candidates else None
     report = census(table, candidates, max_summands=args.max_summands)
     if args.report:
-        Path(args.report).write_text(report_tsv(report), encoding="utf-8")
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(report_tsv(report))
+        except OSError as exc:
+            raise KcgError(f"cannot write report {args.report}: {exc.strerror}") from exc
     for category in CATEGORIES:
         print(f"{category}\t{report.counts[category]}")
     print(f"total\t{report.total}")

@@ -14,8 +14,7 @@ required factors stay factor multisets and are never multiplied out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import PolynomialError, ProfileError
 from .laurent import Factorization, LaurentPoly, factor, is_symmetric, reciprocal
 from .seifert import SignatureProfile, roots_in_brackets
@@ -24,8 +23,7 @@ ODD_SYMMETRIC = "odd-multiplicity-symmetric"
 SIGNATURE_JUMP = "signature-jump"
 
 
-@dataclass(frozen=True)
-class RequiredFactors:
+class RequiredFactors(Record):
     """What must divide the polynomial of every concordant knot, as
     factor multisets.
 

@@ -12,14 +12,12 @@ product is the product of the constant terms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _intpoly
+from ._record import Record
 from .errors import PolynomialError
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(Record):
     """Canonical integer Laurent polynomial.
 
     ``coeffs`` lists coefficients from exponent 0 up.  Construct via
@@ -27,13 +25,21 @@ class LaurentPoly:
     canonical.
     """
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...]):
+        if not coeffs:
             raise PolynomialError("zero polynomial has no canonical form")
-        if self.coeffs[0] <= 0 or self.coeffs[-1] == 0:
-            raise PolynomialError(f"not in canonical form: {self.coeffs!r}")
+        if coeffs[0] <= 0 or coeffs[-1] == 0:
+            raise PolynomialError(f"not in canonical form: {coeffs!r}")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if other.__class__ is LaurentPoly else NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
 
     @property
     def degree(self) -> int:
@@ -107,8 +113,7 @@ def eval_int(p: LaurentPoly, x: int) -> int:
     return _intpoly.eval_at(list(p.coeffs), x)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """Multiset of irreducible canonical factors with multiplicities.
 
     ``prod(factor**mult)`` reproduces the factored polynomial exactly:
@@ -116,7 +121,17 @@ class Factorization:
     Factors are sorted by (degree, coefficients).
     """
 
+    __slots__ = ("factors",)
     factors: tuple[tuple[LaurentPoly, int], ...]
+
+    def __init__(self, factors: tuple[tuple[LaurentPoly, int], ...]):
+        object.__setattr__(self, "factors", factors)
+
+    def __eq__(self, other):
+        return self.factors == other.factors if other.__class__ is Factorization else NotImplemented
+
+    def __hash__(self):
+        return hash((self.factors,))
 
     def expand(self) -> LaurentPoly:
         out = ONE

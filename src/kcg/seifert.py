@@ -21,17 +21,16 @@ its angles are read off the brackets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from . import _intpoly
+from ._record import Record
 from .errors import PolynomialError, ProfileError, SeifertError
 from .laurent import LaurentPoly, canonicalize, eval_int
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
+class SeifertMatrix(Record):
     """Square integer matrix V with det(V - V^T) = 1.
 
     The condition says exactly that V is the linking form of a genus
@@ -84,8 +83,7 @@ class SeifertMatrix:
         return poly
 
 
-@dataclass(frozen=True)
-class SignatureProfile:
+class SignatureProfile(Record):
     """Piecewise-constant signature function on (0, pi).
 
     ``jump_brackets`` holds, per unit-circle root of the knot polynomial

@@ -20,11 +20,11 @@ import csv
 import functools
 import io
 import operator
-from dataclasses import dataclass
-from importlib import resources
+import os
 from itertools import combinations_with_replacement
 
 from . import laurent
+from ._record import Record
 from .bounds import (CATEGORY_UNKNOWN, CATEGORIES, DETERMINED, SLICE,
                      SLICE_STATUSES, Analysis, GcBounds, KnotRecord, analyze)
 from .errors import KcgError, RecordError, TableError
@@ -35,14 +35,12 @@ SCHEMA = ("name", "crossings", "alexander", "signature", "genus3",
           "genus4_min", "genus4_max", "slice", "seifert", "concordant_to")
 
 
-@dataclass(frozen=True)
-class RejectedRow:
+class RejectedRow(Record):
     line: int
     reason: str
 
 
-@dataclass(frozen=True)
-class KnotTable:
+class KnotTable(Record):
     """Validated, immutable table of knot records with unique names."""
 
     records: tuple[KnotRecord, ...]
@@ -156,8 +154,9 @@ def serialize(table: KnotTable) -> str:
 
 
 def _load_bundled(filename: str) -> KnotTable:
-    text = resources.files("kcg").joinpath("data", filename).read_text("utf-8")
-    return parse_table(text, source_path=f"bundled:{filename}")
+    path = os.path.join(os.path.dirname(__file__), "data", filename)
+    with open(path, encoding="utf-8") as fh:
+        return parse_table(fh.read(), source_path=f"bundled:{filename}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -186,8 +185,7 @@ def unknown_fixture() -> KnotTable:
 # candidate matching
 
 
-@dataclass(frozen=True)
-class CandidateMatch:
+class CandidateMatch(Record):
     """A knot sum that could be concordant to the query knot.
 
     Kept only when the query's required factor divides the combined
@@ -261,16 +259,14 @@ def _match(k: KnotRecord, candidates: KnotTable, max_summands: int,
 # census
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(Record):
     name: str
     bounds: GcBounds
     category: str
     candidates: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(Record):
     counts: dict
     total: int
     rows: tuple[CensusRow, ...]

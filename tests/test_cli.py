@@ -216,6 +216,18 @@ class TestImportCost:
         assert not numpy_loaded
 
 
+class TestColdStart:
+    def test_import_loads_none_of_the_heavy_stdlib_modules(self):
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import kcg.cli; "
+                "print(*sorted(sys.modules))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+                              capture_output=True, text=True, timeout=120, check=True)
+        loaded = set(proc.stdout.split())
+        assert "kcg.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect", "importlib.resources",
+                             "pathlib", "typing"}
+
+
 class TestBoundCommand:
     def test_partial_interval_row(self, unknown_csv, capsys):
         assert main(["bound", "--name", "11a_6", "--table", unknown_csv]) == 0
@@ -281,6 +293,18 @@ class TestCensusCommand:
         path.write_bytes(b"\xff\xfen\x00a\x00m\x00e\x00")
         assert main(["census", "--table", str(path)]) == 1
         assert capsys.readouterr().err == f"kcg: cannot read table {path}: not UTF-8\n"
+
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/out.tsv", "No such file or directory"),
+        (".", "Is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_report_is_one_line(self, concordant_csv, tmp_path,
+                                           where, reason, capsys):
+        report = tmp_path / where
+        assert main(["census", "--table", concordant_csv,
+                     "--report", str(report)]) == 1
+        assert capsys.readouterr() == (
+            "", f"kcg: cannot write report {report}: {reason}\n")
 
 
 class TestMatchCommand:

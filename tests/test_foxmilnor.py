@@ -1,6 +1,5 @@
 """Required-factor extraction and the polynomial genus bound."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -67,8 +66,14 @@ class TestMultisets:
         assert residual(fac) == Factorization(((P("1;-1;1"), 1),))
 
     def test_only_residual_and_enhanced_are_stored(self):
-        assert [f.name for f in dataclasses.fields(RequiredFactors)] == [
-            "residual", "enhanced"]
+        res, enh = Factorization(((P("1;-1;1"), 1),)), Factorization(())
+        req = RequiredFactors(res, enh)
+        assert vars(req) == {"residual": res, "enhanced": enh}
+        assert req == RequiredFactors(residual=res, enhanced=enh)
+        with pytest.raises(TypeError):
+            RequiredFactors(res, enh, enh)
+        with pytest.raises(TypeError):
+            RequiredFactors(res, enh, product=enh)
 
     def test_no_forced_factor_keeps_the_residual(self):
         req = enhanced_required_factors(TestEnhancement.F_QUIET, FLAT_PROFILE)

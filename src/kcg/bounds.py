@@ -120,13 +120,15 @@ class Analysis(Record):
 
 
 def analyze(k: KnotRecord, fac: Factorization | None,
-            genus_of=None) -> Analysis:
+            genus_of=None, required=None) -> Analysis:
     """Interval and category of ``k`` from ``fac``, its factorization (None
-    is fine for slice records), computing the profile and residual once."""
+    is fine for slice records), computing the profile and residual once.
+    ``required`` stands in for ``foxmilnor.enhanced_required_factors``,
+    e.g. a cache of it shared across records."""
     if k.slice_status == SLICE:
         return Analysis(None, GcBounds(0, 0, (("slice", 0),), DETERMINED), CATEGORY_SLICE)
     profile = seifert.signature_profile(k.seifert) if k.seifert is not None else None
-    req = foxmilnor.enhanced_required_factors(fac, profile)
+    req = (required or foxmilnor.enhanced_required_factors)(fac, profile)
     bounds = combine(k.genus4[0], k.signature, foxmilnor.gc_poly_lower_bound(req),
                      k.genus3, jump_enhanced=req.enhanced != req.residual)
     return Analysis(req, bounds, _polynomial_category(k, fac, req.residual)

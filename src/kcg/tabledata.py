@@ -23,10 +23,10 @@ import operator
 import os
 from itertools import combinations_with_replacement
 
-from . import laurent
+from . import foxmilnor, laurent
 from ._record import Record
 from .bounds import (CATEGORY_UNKNOWN, CATEGORIES, DETERMINED, SLICE,
-                     SLICE_STATUSES, Analysis, GcBounds, KnotRecord, analyze)
+                     SLICE_STATUSES, GcBounds, KnotRecord, analyze)
 from .errors import KcgError, RecordError, TableError
 from .laurent import LaurentPoly, poly_from_text
 from .seifert import SeifertMatrix
@@ -219,40 +219,48 @@ def match_candidates(k: KnotRecord, candidates: KnotTable,
     mirrors are free).  Sorted by combined genus, then total crossings,
     then expression, so the most economical explanation comes first.
     """
-    return _match(k, candidates, max_summands, functools.cache(laurent.factor))
-
-
-def _match(k: KnotRecord, candidates: KnotTable, max_summands: int,
-           factored, analysis: Analysis | None = None):
-    """match_candidates; a census shares ``factored`` across its rows."""
     if not candidates.records:
         raise TableError("empty candidate table")
-    analysis = analysis or analyze(k, factored(k.alexander))
+    factored = functools.cache(laurent.factor)
+    analysis = analyze(k, factored(k.alexander))
     if analysis.bounds.status == DETERMINED:
         raise RecordError(f"bounds for {k.name} are already determined")
-    required = analysis.required.enhanced
+    (found,) = _sweep([(k, analysis.required.enhanced)],
+                      _pool(candidates, factored), max_summands)
+    return tuple(CandidateMatch(expression, total.expand(), genus, crossings)
+                 for genus, crossings, expression, total in found)
+
+
+def _pool(candidates: KnotTable, factored):
+    """The candidate records in sum order, each with its factorization."""
+    if not candidates.records:
+        raise TableError("empty candidate table")
     pool = sorted(candidates.records, key=lambda r: (r.crossings, r.name))
-    fac_of = {r.name: factored(r.alexander) for r in pool}
-    out = []
+    return [(r, factored(r.alexander)) for r in pool]
+
+
+def _sweep(queries, pool, max_summands: int):
+    """Every sum of 1..max_summands pool members, formed once and tested
+    against each (record, required factors) query: genus first, then
+    divisibility, then the signature.  Per query, the sorted
+    (genus, crossings, expression, product) of its matches."""
+    found = [[] for _ in queries]
     for size in range(1, max_summands + 1):
         for combo in combinations_with_replacement(pool, size):
-            total = functools.reduce(operator.mul,
-                                     (fac_of[r.name] for r in combo))
-            if not required.divides(total):
-                continue
-            if k.signature not in _achievable_signatures(
-                    [r.signature for r in combo]):
-                continue
-            genus = sum(r.genus3 for r in combo)
-            if genus >= k.genus3:
-                continue
-            out.append(CandidateMatch(
-                expression="+".join(r.name for r in combo),
-                combined_alexander=total.expand(), combined_genus3=genus,
-                combined_crossings=sum(r.crossings for r in combo)))
-    out.sort(key=lambda m: (m.combined_genus3, m.combined_crossings,
-                            m.expression))
-    return tuple(out)
+            total = functools.reduce(operator.mul, (fac for _, fac in combo))
+            genus = sum(r.genus3 for r, _ in combo)
+            signatures = None
+            for (k, required), out in zip(queries, found):
+                if genus >= k.genus3 or not required.divides(total):
+                    continue
+                if signatures is None:
+                    signatures = _achievable_signatures([r.signature for r, _ in combo])
+                if k.signature in signatures:
+                    out.append((genus, sum(r.crossings for r, _ in combo),
+                                "+".join(r.name for r, _ in combo), total))
+    for out in found:
+        out.sort()
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -277,28 +285,39 @@ def census(table: KnotTable, candidates: KnotTable | None = None,
     """Classify every record and aggregate category counts.
 
     Rows keep the input order.  The genus lookup for tabulated
-    concordances is assembled from the bundled reference table, the
-    candidate table (if any), and the input table itself.  When a
-    candidate table is supplied, rows that end up unclassified also get
-    their matcher output.  Each record is analyzed once, and no
-    polynomial is factored twice.
+    concordances is assembled from the candidate table (if any) and the
+    input table itself, which takes precedence; the bundled reference
+    table is read underneath only when a ``concordant_to`` name is in
+    neither.  When a candidate table is supplied, rows that end up
+    unclassified also get their matcher output, from one sweep that forms
+    each pool sum once and tests it against all of them.  Each record is
+    analyzed once, no polynomial is factored twice, and the Fox-Milnor
+    split runs once per distinct factorization and profile.
     """
-    genus_of = {rec.name: rec.genus3
-                for source in (reference_table(), candidates, table)
+    genus_of = {rec.name: rec.genus3 for source in (candidates, table)
                 if source is not None for rec in source.records}
-    factored = functools.cache(laurent.factor)  # for this call only
+    if any(n not in genus_of for rec in table.records for n in rec.concordant_to):
+        genus_of = {rec.name: rec.genus3 for rec in reference_table().records} | genus_of
+    # for this call only
+    factored = functools.cache(laurent.factor)
+    required = functools.cache(foxmilnor.enhanced_required_factors)
     counts = {category: 0 for category in CATEGORIES}
-    rows = []
-    for rec in table.records:
+    analyses, queries, pool = [], {}, None
+    for i, rec in enumerate(table.records):
         fac = None if rec.slice_status == SLICE else factored(rec.alexander)
-        analysis = analyze(rec, fac, genus_of)
+        analysis = analyze(rec, fac, genus_of, required)
         counts[analysis.category] += 1
-        names = ()
+        analyses.append(analysis)
         if candidates is not None and analysis.category == CATEGORY_UNKNOWN:
-            names = tuple(m.expression for m in _match(
-                rec, candidates, max_summands, factored, analysis))
-        rows.append(CensusRow(rec.name, analysis.bounds, analysis.category, names))
-    return CensusReport(counts=counts, total=len(rows), rows=tuple(rows))
+            pool = pool or _pool(candidates, factored)
+            queries[i] = (rec, analysis.required.enhanced)
+    found = {}
+    if queries:
+        found = dict(zip(queries, _sweep(list(queries.values()), pool, max_summands)))
+    rows = tuple(CensusRow(rec.name, a.bounds, a.category,
+                           tuple(expression for _, _, expression, _ in found.get(i, ())))
+                 for i, (rec, a) in enumerate(zip(table.records, analyses)))
+    return CensusReport(counts=counts, total=len(rows), rows=rows)
 
 
 def report_tsv(report: CensusReport) -> str:

@@ -10,12 +10,13 @@ import time
 
 import pytest
 
-from kcg import laurent
+from kcg import foxmilnor, laurent, tabledata
 from kcg.bounds import KnotRecord
-from kcg.laurent import factor, mul, poly_from_text
-from kcg.tabledata import (KnotTable, census, concordant_fixture,
-                           parse_table, reference_table, report_tsv,
-                           serialize, slice_fixture, unknown_fixture)
+from kcg.laurent import Factorization, factor, mul, poly_from_text
+from kcg.tabledata import (KnotTable, _load_bundled, census,
+                           concordant_fixture, match_candidates, parse_table,
+                           reference_table, report_tsv, serialize,
+                           slice_fixture, unknown_fixture)
 
 # symmetric irreducibles, keyed by half-degree
 IRREDUCIBLE_POOL = {
@@ -127,3 +128,94 @@ def test_census_factors_no_polynomial_twice(candidates):
         sys.setprofile(None)
     assert inputs, "the census factored nothing"
     assert [p for p, n in inputs.items() if n > 1] == []
+
+
+@pytest.mark.parametrize("max_summands", [1, 2, 3])
+@pytest.mark.parametrize("make_table", [unknown_fixture, _full_table],
+                         ids=["unknown_11", "synthetic-552"])
+def test_census_candidates_are_the_matchers(make_table, max_summands):
+    # the census's one sweep over the pool gives every unknown row exactly
+    # the expressions the single-query matcher gives it
+    table, pool = make_table(), reference_table()
+    report = census(table, pool, max_summands)
+    unknown = [(rec, row) for rec, row in zip(table.records, report.rows)
+               if row.category == "unknown"]
+    assert len(unknown) == 19
+    for rec, row in unknown:
+        assert row.candidates == tuple(
+            m.expression for m in match_candidates(rec, pool, max_summands))
+
+
+def test_synthetic_552_report_with_candidates_is_pinned():
+    text = report_tsv(census(_full_table(), reference_table(), 2))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "caf54d4c64a5c77bd0ea1121da8e28ea38d0d18452a8788425c9d81f4cc847d6")
+
+
+def _calls(code, run) -> int:
+    """How many times ``run()`` enters the function whose code is ``code``."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("make_table, max_summands, products", [
+    (_full_table, 2, 120),     # 15 + 120 sums, one product per pair
+    (unknown_fixture, 3, 1480),  # 120 pairs plus two products per triple
+], ids=["synthetic-552", "unknown_11"])
+def test_census_forms_each_pool_sum_once(make_table, max_summands, products):
+    # one sweep for all unknown rows, not one per row (19 times as many)
+    table = make_table()
+    assert _calls(Factorization.__mul__.__code__,
+                  lambda: census(table, reference_table(), max_summands)) == products
+
+
+@pytest.mark.parametrize("candidates", [None, reference_table()],
+                         ids=["alone", "with-candidates"])
+def test_census_splits_each_factorization_once(candidates):
+    # 522 non-slice rows share 121 distinct factorizations, none with a
+    # Seifert matrix
+    table = _full_table()
+    assert _calls(foxmilnor.enhanced_required_factors.__code__,
+                  lambda: census(table, candidates)) == 121
+
+
+class TestGenusLookup:
+    def test_reference_unread_when_candidates_cover_every_target(self, monkeypatch):
+        def unread():
+            raise AssertionError("reference_table read")
+
+        monkeypatch.setattr(tabledata, "reference_table", unread)
+        report = census(concordant_fixture(), _load_bundled("knots_small.csv"))
+        assert report.counts["concordant_lower_genus"] == 29
+
+    def test_reference_fills_in_without_candidates(self):
+        assert census(concordant_fixture()).counts["concordant_lower_genus"] == 29
+
+    def test_candidate_genus_wins_over_the_reference(self):
+        # a trefoil polynomial tabulated with genus 5 is no concordance
+        # target of lower genus for the 11a_196 row that names 3_1
+        rec = concordant_fixture().find("11a_196")
+        assert rec.concordant_to == ("3_1",)
+        big = KnotTable((KnotRecord(
+            name="3_1", crossings=3, alexander=poly_from_text("1;-1;1"),
+            signature=-2, genus3=5, genus4=(1, 5), slice_status="not_slice"),))
+        assert census(KnotTable((rec,))).rows[0].category == "concordant_lower_genus"
+        assert census(KnotTable((rec,)), big).rows[0].category == "unknown"
+        # also when other rows' targets have the reference read underneath
+        rows = census(concordant_fixture(), big).rows
+        assert {r.name: r.category for r in rows}["11a_196"] == "unknown"
+        # and the input table's own row wins over the candidate
+        trefoil = reference_table().find("3_1")
+        report = census(KnotTable((rec, trefoil)), big)
+        assert report.rows[0].category == "concordant_lower_genus"

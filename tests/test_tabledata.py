@@ -1,16 +1,18 @@
 """Table parsing, the census, and the candidate matcher."""
 
+import hashlib
 import random
 
 import pytest
 
+from kcg import laurent
 from kcg.bounds import CATEGORY_UNKNOWN
 from kcg.errors import RecordError, TableError
 from kcg.laurent import factor, poly_from_text
 from kcg.tabledata import (KnotTable, census, concordant_fixture,
                            match_candidates, parse_table, reference_table,
                            report_tsv, serialize, slice_fixture,
-                           unknown_fixture, _achievable_signatures, _match)
+                           unknown_fixture, _achievable_signatures)
 from oracles import divides_exactly
 
 HEADER = ("name,crossings,alexander,signature,genus3,genus4_min,genus4_max,"
@@ -172,7 +174,7 @@ class TestMatcher:
                 assert divides_exactly(list(req.coeffs),
                                        list(m.combined_alexander.coeffs))
 
-    def test_required_factors_are_not_factored_again(self):
+    def test_required_factors_are_not_factored_again(self, monkeypatch):
         # the matcher reads the required multiset off the analysis: it
         # factors the query and the pool, and no product of them
         rec = unknown_fixture().find("11a_6")
@@ -182,7 +184,8 @@ class TestMatcher:
             seen.append(p)
             return factor(p)
 
-        assert _match(rec, reference_table(), 2, factored)
+        monkeypatch.setattr(laurent, "factor", factored)
+        assert match_candidates(rec, reference_table(), 2)
         assert set(seen) == {rec.alexander} | {
             r.alexander for r in reference_table().records}
 
@@ -199,6 +202,41 @@ class TestMatcher:
         rec = unknown_fixture().find("11a_6")
         singles = match_candidates(rec, reference_table(), max_summands=1)
         assert all("+" not in m.expression for m in singles)
+
+
+class TestMatcherPins:
+    """The matcher's output on the bundled fixtures, pinned before any
+    change to how it searches."""
+
+    # matches of the 19 unknown rows against knots_small, and a sha256 of
+    # their "query, expression, genus, crossings, polynomial" lines
+    UNKNOWN_11 = {
+        1: (21, "9fc74d70528f7974cb1c82c1017e0fe05faceb5169deb9c3731ec76ea3a1db40"),
+        2: (78, "c5f46a5fcee0dfbe6c47817e836507df75bab094ce09743e80ac668a8d9c9baf"),
+        3: (82, "a6cc30dce5d069cd93c3508bec0ecc9d502e8a529ba3dc36d34c27066b385116"),
+    }
+
+    @pytest.mark.parametrize("max_summands", [1, 2, 3])
+    def test_unknown_11_matches(self, max_summands):
+        lines = [f"{rec.name}\t{m.expression}\t{m.combined_genus3}\t"
+                 f"{m.combined_crossings}\t{m.combined_alexander.to_text()}"
+                 for rec in unknown_fixture().records
+                 for m in match_candidates(rec, reference_table(), max_summands)]
+        text = "\n".join(lines) + "\n"
+        assert (len(lines), hashlib.sha256(text.encode()).hexdigest()) \
+            == self.UNKNOWN_11[max_summands]
+
+    def test_every_tabulated_concordance_is_found(self):
+        # each concordant_11 row's concordant_to, written in pool order,
+        # is among its matches at 3 summands
+        pool = reference_table()
+        order = {r.name: (r.crossings, r.name) for r in pool.records}
+        rows = concordant_fixture().records
+        assert len(rows) == 29
+        for rec in rows:
+            listed = "+".join(sorted(rec.concordant_to, key=order.__getitem__))
+            found = {m.expression for m in match_candidates(rec, pool, 3)}
+            assert listed in found, (rec.name, listed)
 
 
 def _required_poly(rec):

@@ -25,11 +25,6 @@ A lift is irreducible or +-f(t) f*(t) with f* the reciprocal of f; only a
 lift that passes the exact test for the latter (:func:`_may_split`) is
 recombined again.  Every choice below (prime scan order, factor ordering,
 subset order) is deterministic.
-
-An integer content is emitted at once when the deterministic Miller-Rabin
-test of :func:`_is_prime_mr` proves it prime, and otherwise trial-divided
-up to ``TRIAL_DIVISION_BOUND``; a cofactor left over is refused when it is
-composite or not below ``MILLER_RABIN_BOUND``.
 """
 
 from __future__ import annotations
@@ -46,17 +41,6 @@ RECOMBINATION_BUDGET = 2000
 #: polynomial on the trace route (whose lifts then have at most twice this
 #: degree), of the input otherwise.  Past it the input is refused.
 FACTOR_DEGREE_CAP = 64
-
-#: Largest trial divisor of an integer content; a cofactor with no divisor
-#: up to it is prime when below its square, and goes to Miller-Rabin
-#: otherwise.
-TRIAL_DIVISION_BOUND = 1 << 20
-
-#: Miller-Rabin to the bases ``MILLER_RABIN_BASES``, the first 13 primes,
-#: decides primality of every n below this bound (Sorenson and Webster,
-#: "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
-MILLER_RABIN_BOUND = 3317044064679887385961981
-MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 # ---------------------------------------------------------------------------
@@ -560,55 +544,6 @@ def _primes():
         if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
             yield n
         n += 2
-
-
-def _is_prime_mr(n):
-    """Whether n is proved prime: odd, MILLER_RABIN_BASES[-1] < n <
-    MILLER_RABIN_BOUND, and a strong probable prime to every base of
-    ``MILLER_RABIN_BASES``, which below the bound only primes are."""
-    if n % 2 == 0 or not MILLER_RABIN_BASES[-1] < n < MILLER_RABIN_BOUND:
-        return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in MILLER_RABIN_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def factor_int(n):
-    """Prime factorization of n >= 1 as sorted (prime, exponent) pairs.  The
-    cofactor goes to :func:`_is_prime_mr` first and after each divisor found;
-    trial division up to ``TRIAL_DIVISION_BOUND`` splits it only when that
-    fails, and refuses a cofactor it cannot split."""
-    if n < 1:
-        raise ValueError("expected a positive integer")
-    out = []
-    p, prime = 2, _is_prime_mr(n)
-    while not prime and p * p <= n:
-        if p > TRIAL_DIVISION_BOUND:
-            why = "is composite" if n < MILLER_RABIN_BOUND else "is too large to prove prime"
-            raise PolynomialError(
-                f"content {n} has no prime factor up to {TRIAL_DIVISION_BOUND} and {why}")
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-            prime = _is_prime_mr(n)
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def _factor_bound(f):

@@ -3,12 +3,13 @@
 Subcommands: factor, invariants, bound, census, match.  Output is plain
 TSV/inline text and is byte-identical across runs on the same input.
 Exit codes: 0 success, 1 domain error (bad polynomial, inconsistent
-record, unknown knot), 2 usage error.
+record, unknown knot) or stdout closed early, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bounds import CATEGORIES, gc_bounds
@@ -146,7 +147,15 @@ def main(argv=None) -> int:
     if getattr(args, "max_summands", 1) < 1:
         parser.error(f"--max-summands must be at least 1: {args.max_summands}")
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except KcgError as exc:
         print(f"kcg: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader is gone; keep the interpreter's last flush of stdout silent
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print("kcg: cannot write output: stdout is closed", file=sys.stderr)
         return 1

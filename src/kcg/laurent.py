@@ -1,5 +1,5 @@
-"""Integer Laurent polynomials in canonical form, with complete
-factorization into irreducibles over the integers.
+"""Integer Laurent polynomials in canonical form, with factorization into
+irreducibles of positive degree over the integers.
 
 Knot polynomials are only defined up to a unit +-t^k, so equality has to
 be read modulo that freedom.  The canonical representative fixes it once
@@ -114,7 +114,8 @@ def eval_int(p: LaurentPoly, x: int) -> int:
 
 
 class Factorization(Record):
-    """Multiset of irreducible canonical factors with multiplicities.
+    """Irreducible canonical factors of positive degree, times the content
+    (one degree-0 factor, absent when 1), with multiplicities.
 
     ``prod(factor**mult)`` reproduces the factored polynomial exactly:
     with the positive-constant canonical form no unit is left over.
@@ -168,23 +169,20 @@ def _sorted_factors(table: dict[LaurentPoly, int]):
 
 
 def factor(p: LaurentPoly) -> Factorization:
-    """Complete factorization into irreducibles over the integers.
+    """Irreducible factors of positive degree over the integers, and the content.
 
-    Constant prime factors of the content are emitted as degree-0
-    factors, so expanding the result always reproduces the input exactly.
-    A palindromic primitive part that vanishes at neither 1 nor -1, as
-    every knot polynomial's, is factored at half its degree through its
-    trace polynomial (see :mod:`kcg._intpoly`).  An input whose
-    factored degree passes ``_intpoly.FACTOR_DEGREE_CAP`` (the trace
-    polynomial's degree on that route), whose recombination needs too many
-    trials, or whose content trial division can neither split nor prove
-    prime, is refused with :class:`PolynomialError`.
+    The content c is emitted whole, as the factor ``(c)`` when c != 1 (a
+    knot polynomial, with |Delta(1)| = 1, has none), so expanding the
+    result reproduces the input exactly.  A palindromic primitive part
+    that vanishes at neither 1 nor -1, as every knot polynomial's, is
+    factored at half its degree through its trace polynomial (see
+    :mod:`kcg._intpoly`).  An input whose factored degree passes
+    ``_intpoly.FACTOR_DEGREE_CAP`` (the trace polynomial's degree on that
+    route), or whose recombination needs too many trials, is refused with
+    :class:`PolynomialError`.
     """
-    table: dict[LaurentPoly, int] = {}
     cont, prim = _intpoly.primitive(list(p.coeffs))
-    for q, e in _intpoly.factor_int(cont):
-        if q != 1:
-            table[LaurentPoly((q,))] = e
+    table: dict[LaurentPoly, int] = {LaurentPoly((cont,)): 1} if cont != 1 else {}
     if _intpoly.degree(prim) >= 1:
         if prim[-1] < 0:
             prim = _intpoly.neg(prim)

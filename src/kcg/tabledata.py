@@ -61,6 +61,16 @@ def _parse_int(text: str, field: str) -> int:
         raise TableError(f"bad {field}: {text!r}") from exc
 
 
+def _split(line: str) -> list[str]:
+    """The CSV fields of one line; a NUL is refused on every Python."""
+    if "\0" in line:
+        raise TableError("line contains NUL")
+    try:
+        return next(csv.reader([line]))
+    except csv.Error as exc:
+        raise TableError(str(exc)) from exc
+
+
 def _parse_row(fields) -> KnotRecord:
     if len(fields) != len(SCHEMA):
         raise TableError(f"expected {len(SCHEMA)} fields, got {len(fields)}")
@@ -94,33 +104,27 @@ def parse_table(text, source_path: str = "<stream>") -> KnotTable:
     """Parse and validate a knot table.
 
     Accepts a string or a readable stream.  A malformed header is fatal
-    ("bad schema"); bad rows are collected on ``KnotTable.rejected`` with
-    line numbers, and the parse only fails when every row is bad.  A
-    table without rows parses to no records and no rejected rows.
+    ("bad schema"); bad rows, lines the CSV reader refuses among them, are
+    collected on ``KnotTable.rejected`` with line numbers, and the parse
+    only fails, naming the first of them, when every row is bad.  A table
+    without rows parses to no records and no rejected rows.
     """
     if hasattr(text, "read"):
         text = text.read()
-    header_seen = False
-    body: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        line = raw.rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = next(csv.reader([line]))
-        if not header_seen:
-            if tuple(f.strip() for f in fields) != SCHEMA:
-                raise TableError("bad schema")
-            header_seen = True
-            continue
-        body.append((lineno, fields))
-    if not header_seen:
+    lines = [(lineno, line) for lineno, raw in enumerate(text.split("\n"), 1)
+             if (line := raw.rstrip("\r")).strip() and not line.lstrip().startswith("#")]
+    try:
+        header = tuple(f.strip() for f in _split(lines[0][1]))
+    except (IndexError, TableError):
+        header = None
+    if header != SCHEMA:
         raise TableError("bad schema")
     records: list[KnotRecord] = []
     rejected: list[RejectedRow] = []
     names: set[str] = set()
-    for lineno, fields in body:
+    for lineno, line in lines[1:]:
         try:
-            rec = _parse_row(fields)
+            rec = _parse_row(_split(line))
         except KcgError as exc:
             rejected.append(RejectedRow(lineno, str(exc)))
             continue
@@ -129,8 +133,9 @@ def parse_table(text, source_path: str = "<stream>") -> KnotTable:
             continue
         names.add(rec.name)
         records.append(rec)
-    if body and not records:
-        raise TableError("all rows rejected")
+    if rejected and not records:
+        first = rejected[0]
+        raise TableError(f"all rows rejected; line {first.line}: {first.reason}")
     return KnotTable(tuple(records), source_path, tuple(rejected))
 
 

@@ -31,12 +31,16 @@ sys.exit(status)
 """
 
 
+def _env():
+    """This environment, with the package under test first on the path."""
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+
 def _run_fresh(argv):
     """(exit code, stdout, stderr lines, numpy imported) of ``kcg argv``
     in a new process."""
-    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    proc = subprocess.run([sys.executable, "-c", _RUN_MAIN, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", _RUN_MAIN, *argv], env=_env(),
                           capture_output=True, text=True, timeout=120, check=False)
     *err, loaded = proc.stderr.splitlines()
     return proc.returncode, proc.stdout, err, loaded == "True"
@@ -45,9 +49,7 @@ def _run_fresh(argv):
 def _run_module(argv, timeout=120):
     """``python -m kcg argv`` in a new process, failing past ``timeout``
     seconds."""
-    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    return subprocess.run([sys.executable, "-m", "kcg", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "kcg", *argv], env=_env(),
                           capture_output=True, text=True, timeout=timeout, check=False)
 
 
@@ -117,17 +119,20 @@ class TestFactorCommand:
         ("2305843009213693951;2305843009213693951", "(2305843009213693951)^1 * (1;1)^1\n"),
     ], ids=["10^15+37", "2^61-1"])
     def test_prime_content_beyond_trial_division(self, poly, out):
-        # no prime factor up to the trial-division bound: Miller-Rabin proves it
+        # the content is printed whole, whatever its prime factors
         proc = _run_module(["factor", "--poly", poly], timeout=5)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
-    def test_content_beyond_trial_division_exits_1(self):
-        for content, reason in (((2 ** 31 - 1) * 1000000000039, "is composite"),
-                                (2 ** 89 - 1, "is too large to prove prime")):
+    def test_large_contents_print_whole(self):
+        # no integer factoring runs, so each answers in a fresh process within 2 s
+        for content in ((2 ** 31 - 1) * 1000000000039, 2 ** 89 - 1):
             proc = _run_module(["factor", "--poly", str(content)], timeout=2)
-            assert proc.returncode == 1
-            assert proc.stdout == ""
-            assert re.fullmatch(rf"kcg: content {content} [^\n]* {reason}\n", proc.stderr)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"({content})^1\n", "")
+
+    def test_content_is_one_factor(self):
+        proc = _run_module(["factor", "--poly", "12;12"], timeout=5)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(12)^1 * (1;1)^1\n", "")
+        assert proc.stdout.splitlines() == _readme_output('kcg factor --poly "12;12"')
 
     def test_byte_deterministic(self, capsys):
         main(["factor", "--poly", "4;-15;30;-37;30;-15;4"])
@@ -288,6 +293,19 @@ class TestCensusCommand:
         assert proc.stderr == f"kcg: {path}: no records\n"
         assert proc.stdout == "".join(f"{c}\t0\n" for c in CATEGORIES) + "total\t0\n"
 
+    @pytest.mark.parametrize("row, reason", [
+        ("x" * 131073 + ",3,1;-1;1,-2,1,1,1,not_slice,,",
+         "field larger than field limit (131072)"),
+        ("3_1\0,3,1;-1;1,-2,1,1,1,not_slice,,", "line contains NUL"),
+        ("3_1,3,1;-2;1,0,1,1,1,not_slice,,", "not a knot polynomial"),
+    ], ids=["long-field", "nul", "bad-polynomial"])
+    def test_one_bad_row_is_named(self, tmp_path, row, reason, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(SCHEMA) + "\n" + row + "\n", encoding="utf-8")
+        assert main(["census", "--table", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"kcg: all rows rejected; line 2: {reason}\n")
+
     def test_table_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "utf16.csv"
         path.write_bytes(b"\xff\xfen\x00a\x00m\x00e\x00")
@@ -342,6 +360,25 @@ class TestUsageErrors:
         proc = _run_module(["factor", "--poly", "1;-1;1"])
         assert proc.returncode == 0
         assert proc.stdout == "(1;-1;1)^1\n"
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_one_line(self, unbuffered):
+        # the write fails in print when stdout is unbuffered, else in the
+        # flush; either way the interpreter's last flush must stay silent
+        env = _env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "kcg", "factor", "--poly", "1;-1;1"],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True)
+        proc.stdout.close()
+        try:
+            err = proc.communicate(timeout=120)[1]
+        finally:
+            proc.kill()
+        assert proc.returncode == 1
+        assert re.fullmatch(r"kcg: [^\n]*\n", err), err
 
     @pytest.mark.parametrize("argv", [
         ["factor", "--poly=--"],

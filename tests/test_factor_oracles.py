@@ -12,7 +12,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcg import _intpoly
@@ -135,7 +135,7 @@ class TestTraceRouteEdges:
     def test_nonzero_content(self):
         assert_factors([3 * c for c in GOLDEN], {(3,): 1, GOLDEN: 1})
         pair = product(PAIR)
-        assert_factors([12 * c for c in pair], {(2,): 2, (3,): 1, PAIR[0]: 1, PAIR[1]: 1})
+        assert_factors([12 * c for c in pair], {(12,): 1, PAIR[0]: 1, PAIR[1]: 1})
 
     @pytest.mark.parametrize("factors", [
         [(2, -1), (1, 1, 1)],
@@ -296,7 +296,16 @@ BLOCKS = (
 
 
 @settings(derandomize=True, max_examples=150, deadline=2000, database=None)
-@given(st.lists(st.sampled_from(BLOCKS), min_size=1, max_size=6))
-def test_factor_recovers_any_product_of_known_irreducibles(blocks):
-    factors = [q for block in blocks for q in block]
-    assert_factors(product(factors), Counter(factors))
+@given(st.lists(st.sampled_from(BLOCKS), min_size=1, max_size=6), st.integers(1, 2 ** 128))
+# 2^89 - 1 is prime; 318665857834031151167461 = 399165290221 * 798330580441
+@example([BLOCKS[0], BLOCKS[7]], 2 ** 89 - 1)
+@example([BLOCKS[-2], BLOCKS[-1]], 318665857834031151167461)
+def test_factor_recovers_any_product_of_known_irreducibles(blocks, content):
+    """The known factors of positive degree, and the content, with the
+    constant blocks, as one degree-0 factor unless it is 1."""
+    factors = [q for block in blocks for q in block if len(q) > 1]
+    content *= math.prod(q[0] for block in blocks for q in block if len(q) == 1)
+    expected = Counter(factors)
+    if content != 1:
+        expected[(content,)] = 1
+    assert_factors([content * c for c in product(factors)], expected)

@@ -6,7 +6,6 @@ import time
 
 import pytest
 
-from kcg._intpoly import factor_int
 from kcg.errors import PolynomialError
 from kcg.laurent import (ONE, LaurentPoly, canonicalize, eval_int, factor,
                          is_symmetric, mul, poly_from_text, reciprocal)
@@ -153,29 +152,26 @@ class TestFactor:
         assert _factor_map(f) == {"2": 1, "2;-1": 1}
         assert f.expand() == P("4;-2")
 
-    def test_content_cofactor_goes_to_miller_rabin(self):
-        # 2^61 - 1 is prime; 318665857834031151167461 = 399165290221 *
-        # 798330580441 is a strong probable prime to the bases 2 to 37,
-        # and only base 41 shows it composite
-        assert factor_int(24 * (2 ** 61 - 1)) == [(2, 3), (3, 1), (2 ** 61 - 1, 1)]
-        with pytest.raises(PolynomialError, match="is composite"):
-            factor_int(318665857834031151167461)
+    def test_content_is_emitted_whole(self):
+        # neither 24 (2^61 - 1) nor the semiprime 399165290221 * 798330580441
+        # is split
+        for n in (24 * (2 ** 61 - 1), 318665857834031151167461):
+            f = factor(P(f"{n};{-n}"))
+            assert _factor_map(f) == {str(n): 1, "1;-1": 1}
+            assert f.expand() == P(f"{n};{-n}")
 
-    def test_prime_cofactors_skip_trial_division(self):
-        # Miller-Rabin runs first and after each divisor found, so a prime
-        # cofactor never waits on trial division up to 2^20 (about 0.1 s)
-        cases = {1099511627689: [(1099511627689, 1)],
-                 3 * 5 ** 2 * (2 ** 61 - 1): [(3, 1), (5, 2), (2 ** 61 - 1, 1)]}
-        for n, want in cases.items():
+    def test_content_is_not_factored(self):
+        # a content with no small prime factor costs no integer factoring
+        for n in (1099511627689, 3 * 5 ** 2 * (2 ** 61 - 1), 2 ** 89 - 1):
             best = math.inf
             for _ in range(3):
                 start = time.perf_counter()
-                assert factor_int(n) == want
+                assert _factor_map(factor(P(str(n)))) == {str(n): 1}
                 best = min(best, time.perf_counter() - start)
             assert best < 0.020, (n, best)
 
     def test_constant_input(self):
-        assert _factor_map(factor(P("12"))) == {"2": 2, "3": 1}
+        assert _factor_map(factor(P("12"))) == {"12": 1}
         assert factor(ONE).factors == ()
 
     def test_degree_cap(self):

@@ -60,6 +60,34 @@ class TestParse:
         with pytest.raises(TableError, match="all rows rejected"):
             table_of("bad,3,0;0,0,1,1,1,not_slice,,")
 
+    def test_all_rows_rejected_names_the_first(self):
+        with pytest.raises(TableError) as info:
+            table_of("bad,3,1;-2;1,0,1,1,1,not_slice,,",
+                     "worse,3,1;-1;1,-2,1,1,1,maybe,,")
+        assert str(info.value) == "all rows rejected; line 2: not a knot polynomial"
+
+    @pytest.mark.parametrize("line, reason", [
+        ("x" * 131073 + ",3,1;-1;1,-2,1,1,1,not_slice,,",
+         "field larger than field limit (131072)"),
+        ("3_1,3,1;-1;1,-2,1,1,1,not_slice,,\0", "line contains NUL"),
+        ("\0", "line contains NUL"),
+        # the reader's advice after " - " differs between Python releases
+        ("4_1,4,1;-3;1,0,1,1,1,\rslice,,", "new-line character seen in unquoted field - "),
+    ], ids=["long-field", "nul", "only-nul", "carriage-return"])
+    def test_line_the_csv_reader_refuses_is_rejected(self, line, reason):
+        # Python 3.10's reader refuses a NUL itself, later ones keep it
+        t = table_of(line, "3_1,3,1;-1;1,-2,1,1,1,not_slice,,")
+        assert [r.name for r in t.records] == ["3_1"]
+        assert [r.line for r in t.rejected] == [2]
+        assert t.rejected[0].reason.startswith(reason)
+
+    @pytest.mark.parametrize("header", [HEADER + "," + "x" * 131073,
+                                        HEADER + "\0", HEADER + "\rx"],
+                             ids=["long-field", "nul", "carriage-return"])
+    def test_header_the_csv_reader_refuses_is_bad_schema(self, header):
+        with pytest.raises(TableError, match="^bad schema$"):
+            parse_table(header + "\n3_1,3,1;-1;1,-2,1,1,1,not_slice,,\n")
+
     def test_mismatched_matrix_rejected(self):
         t = table_of('bad,4,1;-3;1,0,1,1,1,not_slice,"-1,1;0,-1",',
                      "3_1,3,1;-1;1,-2,1,1,1,not_slice,,")

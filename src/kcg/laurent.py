@@ -193,3 +193,59 @@ def factor(p: LaurentPoly) -> Factorization:
     if result.expand() != p:
         raise AssertionError("factorization failed to reproduce the input")
     return result
+
+
+def factorer():
+    """A memoized :func:`factor` for one batch of related inputs (a census
+    table and its candidate pool), meant to be dropped with the batch.
+
+    Each distinct input is factored once.  Before :func:`factor` sees an
+    input, every irreducible found so far in the batch, and the reciprocal
+    of each, is divided out of it as often as it divides exactly (a
+    divisor's value at 2 must divide the input's, which skips most
+    trials); only a cofactor other than 1 reaches :func:`factor`, so each
+    irreducible is found by Zassenhaus at most once per batch.  By Gauss's
+    lemma and unique factorization in Z[t], a primitive irreducible that
+    divides the input exactly is one of its factors, repeated exact
+    division gives its multiplicity, and the quotient stays canonical: the
+    result equals ``factor(p)``.  ``FACTOR_DEGREE_CAP`` is checked on the
+    whole input, so a refusal for degree does not depend on the inputs
+    before it; dividing out reciprocals in pairs keeps a palindromic input's
+    cofactor palindromic, so the cofactor passes the cap whenever the
+    input does.  The recombination budget bounds only the work on the
+    cofactor: an input whose cofactor fits within it is factored exactly
+    even where ``factor(p)`` alone would refuse.
+    """
+    known: dict[LaurentPoly, int] = {}  # irreducible -> its value at 2
+    done: dict[LaurentPoly, Factorization] = {}
+
+    def factored(p: LaurentPoly) -> Factorization:
+        if p in done:
+            return done[p]
+        rest = list(p.coeffs)
+        trace = _intpoly.to_trace(rest)
+        if _intpoly.degree(rest if trace is None else trace) > _intpoly.FACTOR_DEGREE_CAP:
+            raise PolynomialError("degree limit exceeded")
+        table: dict[LaurentPoly, int] = {}
+        at2 = _intpoly.eval_at(rest, 2)
+        for q, q_at2 in known.items():
+            while (not (q_at2 and at2 % q_at2)
+                   and (quo := _intpoly.try_div(rest, q.coeffs)) is not None):
+                rest, at2 = quo, _intpoly.eval_at(quo, 2)
+                table[q] = table.get(q, 0) + 1
+        cofactor = LaurentPoly(tuple(rest))
+        if cofactor != ONE:
+            if cofactor not in done:
+                done[cofactor] = factor(cofactor)
+            for q, m in done[cofactor].factors:
+                table[q] = m
+                if q.degree >= 1:
+                    for r in (q, reciprocal(q)):
+                        known.setdefault(r, eval_int(r, 2))
+        result = Factorization(_sorted_factors(table))
+        if result.expand() != p:
+            raise AssertionError("factorization failed to reproduce the input")
+        done[p] = result
+        return result
+
+    return factored

@@ -62,12 +62,17 @@ def _parse_int(text: str, field: str) -> int:
 
 
 def _split(line: str) -> list[str]:
-    """The CSV fields of one line; a NUL is refused on every Python."""
+    """The CSV fields of one line.  A NUL, and a CR outside quotes, are
+    refused with reasons of their own, the same on every Python (the
+    reader's advice about a CR differs between releases); a CR inside a
+    quoted field is kept."""
     if "\0" in line:
         raise TableError("line contains NUL")
     try:
         return next(csv.reader([line]))
     except csv.Error as exc:
+        if str(exc).startswith("new-line character seen in unquoted field"):
+            raise TableError("line contains CR outside quotes") from exc
         raise TableError(str(exc)) from exc
 
 
@@ -223,10 +228,12 @@ def match_candidates(k: KnotRecord, candidates: KnotTable,
     Enumerates sums of 1..max_summands candidate knots (with repetition;
     mirrors are free).  Sorted by combined genus, then total crossings,
     then expression, so the most economical explanation comes first.
+    The query and the pool share one :func:`laurent.factorer`, so each
+    irreducible is found by Zassenhaus at most once per call.
     """
     if not candidates.records:
         raise TableError("empty candidate table")
-    factored = functools.cache(laurent.factor)
+    factored = laurent.factorer()
     analysis = analyze(k, factored(k.alexander))
     if analysis.bounds.status == DETERMINED:
         raise RecordError(f"bounds for {k.name} are already determined")
@@ -296,15 +303,18 @@ def census(table: KnotTable, candidates: KnotTable | None = None,
     neither.  When a candidate table is supplied, rows that end up
     unclassified also get their matcher output, from one sweep that forms
     each pool sum once and tests it against all of them.  Each record is
-    analyzed once, no polynomial is factored twice, and the Fox-Milnor
-    split runs once per distinct factorization and profile.
+    analyzed once, no polynomial is factored twice, each irreducible is
+    found by Zassenhaus at most once per call (the table and the pool
+    share one :func:`laurent.factorer`, which divides out the irreducibles
+    it has found before factoring what is left), and the Fox-Milnor split
+    runs once per distinct factorization and profile.
     """
     genus_of = {rec.name: rec.genus3 for source in (candidates, table)
                 if source is not None for rec in source.records}
     if any(n not in genus_of for rec in table.records for n in rec.concordant_to):
         genus_of = {rec.name: rec.genus3 for rec in reference_table().records} | genus_of
     # for this call only
-    factored = functools.cache(laurent.factor)
+    factored = laurent.factorer()
     required = functools.cache(foxmilnor.enhanced_required_factors)
     counts = {category: 0 for category in CATEGORIES}
     analyses, queries, pool = [], {}, None

@@ -8,6 +8,7 @@ with ``conv_mul``.
 
 import functools
 import math
+import random
 import time
 from collections import Counter
 
@@ -15,9 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kcg import _intpoly
+from bench import gen
+from kcg import _intpoly, laurent
 from kcg.errors import PolynomialError
 from kcg.laurent import LaurentPoly, factor
+from kcg.tabledata import reference_table
 from oracles import (conv_mul, cyclotomic, reverse_and_normalize, swinnerton_dyer,
                      torus_alexander, torus_cyclotomic_indices)
 
@@ -309,3 +312,91 @@ def test_factor_recovers_any_product_of_known_irreducibles(blocks, content):
     if content != 1:
         expected[(content,)] = 1
     assert_factors([content * c for c in product(factors)], expected)
+
+
+# ---------------------------------------------------------------------------
+# laurent.factorer: irreducibles found earlier in a batch are divided out
+# before factor sees an input; its answer must be factor's, byte for byte
+
+IRREDUCIBLES = [q for block in BLOCKS for q in block if len(q) > 1]
+
+
+def assert_factorer_agrees(polys):
+    """One factorer over ``polys``, in order, gives factor's answer on each."""
+    factored = laurent.factorer()
+    for p in polys:
+        assert factored(p) == factor(p)
+
+
+def poly(factors, content=1):
+    return LaurentPoly(canon([content * c for c in product(factors)]))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_factorer_matches_factor_on_seeded_products(seed):
+    rng = random.Random(f"factorer-{seed}")
+    assert_factorer_agrees([
+        poly(rng.choices(IRREDUCIBLES, k=rng.randint(2, 4)), rng.choice((1, 1, 2, 12)))
+        for _ in range(12)])
+
+
+@pytest.mark.parametrize("batch", [
+    [[GOLDEN, GOLDEN, PHI6], [GOLDEN] * 3, [PHI6, PHI6, GOLDEN, GOLDEN]],
+    [[canon(cyclotomic(12)), PHI6], [canon(cyclotomic(12))] * 2,
+     [canon(cyclotomic(n)) for n in (3, 5, 12, 15)]],
+    # 2 - t vanishes at 2, and 1 - 2t is its reciprocal
+    [[(2, 1, 3), PAIR[1]], [(2, 1, 3), (2, 1, 3), PAIR[0]], [PAIR[0], PAIR[1], GOLDEN]],
+    [[(1, 1, 0, 1), (1, -1)], [(1, 1, 0, 1), (1, 1, 0, 1), (7, 0, -1)]],
+], ids=["repeated", "cyclotomic", "non-palindromic", "root-at-one"])
+@pytest.mark.parametrize("content", [1, 12])
+def test_factorer_matches_factor_on_known_shapes(batch, content):
+    polys = [poly(factors, content) for factors in batch]
+    assert_factorer_agrees(polys)
+    assert_factorer_agrees(polys[::-1])
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["table-order", "reversed"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_factorer_matches_factor_on_census552(seed, reverse):
+    # the table's polynomials, then the candidate pool's, as a census reads them
+    polys = [r.alexander for source in (gen.census_input(seed).table, reference_table())
+             for r in source.records]
+    assert_factorer_agrees(polys[::-1] if reverse else polys)
+
+
+def test_only_new_cofactors_reach_factor(monkeypatch):
+    seen = []
+    real = laurent.factor
+
+    def spy(p):
+        seen.append(p.coeffs)
+        return real(p)
+
+    monkeypatch.setattr(laurent, "factor", spy)
+    phi3 = canon(cyclotomic(3))
+    factored = laurent.factorer()
+    for factors, content in [([PHI6], 1), ([PHI6, phi3], 1), ([PHI6], 12),
+                             ([phi3], 12), ([PHI6], 1)]:
+        assert factored(poly(factors, content)) == real(poly(factors, content))
+    assert seen == [PHI6, phi3, (12,)]
+
+
+@pytest.mark.parametrize("known, factors", [
+    ((1, 1, 0, 1), [(1, 1, 0, 1)] * 22),  # degree 66
+    (GOLDEN, [GOLDEN] * 65),  # degree 130, trace 65
+], ids=["non-palindromic", "trace"])
+def test_factorer_refuses_past_the_degree_cap_whatever_it_knows(known, factors):
+    factored = laurent.factorer()
+    factored(LaurentPoly(known))
+    for run in (factor, factored):
+        with pytest.raises(PolynomialError, match="^degree limit exceeded$"):
+            run(poly(factors))
+
+
+def test_factorer_keeps_a_palindromic_cofactor_palindromic():
+    # trace degree 64 fits the cap; without 1 - 2t divided out along with
+    # 2 - t, the cofactor (1 - 2t) * golden^63 would not (degree 127)
+    factored = laurent.factorer()
+    factored(poly([PAIR[0], (2, 1, 3)]))
+    p = poly([PAIR[0], PAIR[1]] + [GOLDEN] * 63)
+    assert factored(p) == factor(p)

@@ -1,6 +1,7 @@
 """Table parsing, the census, and the candidate matcher."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -8,11 +9,12 @@ import pytest
 from kcg import laurent
 from kcg.bounds import CATEGORY_UNKNOWN
 from kcg.errors import RecordError, TableError
-from kcg.laurent import factor, poly_from_text
-from kcg.tabledata import (KnotTable, census, concordant_fixture,
-                           match_candidates, parse_table, reference_table,
-                           report_tsv, serialize, slice_fixture,
-                           unknown_fixture, _achievable_signatures)
+from kcg.laurent import factor, mul, poly_from_text
+from kcg.tabledata import (KnotTable, RejectedRow, census,
+                           concordant_fixture, match_candidates, parse_table,
+                           reference_table, report_tsv, serialize,
+                           slice_fixture, unknown_fixture,
+                           _achievable_signatures)
 from oracles import divides_exactly
 
 HEADER = ("name,crossings,alexander,signature,genus3,genus4_min,genus4_max,"
@@ -71,15 +73,20 @@ class TestParse:
          "field larger than field limit (131072)"),
         ("3_1,3,1;-1;1,-2,1,1,1,not_slice,,\0", "line contains NUL"),
         ("\0", "line contains NUL"),
-        # the reader's advice after " - " differs between Python releases
-        ("4_1,4,1;-3;1,0,1,1,1,\rslice,,", "new-line character seen in unquoted field - "),
-    ], ids=["long-field", "nul", "only-nul", "carriage-return"])
+        ("4_1,4,1;-3;1,0,1,1,1,\rslice,,", "line contains CR outside quotes"),
+        ("4_1,4,\r1;-3;1,0,1,1,1,slice,,", "line contains CR outside quotes"),
+    ], ids=["long-field", "nul", "only-nul", "carriage-return", "carriage-return-first"])
     def test_line_the_csv_reader_refuses_is_rejected(self, line, reason):
-        # Python 3.10's reader refuses a NUL itself, later ones keep it
+        # Python 3.10's reader refuses a NUL itself, later ones keep it;
+        # for a CR the reader's advice differs between Python releases
         t = table_of(line, "3_1,3,1;-1;1,-2,1,1,1,not_slice,,")
         assert [r.name for r in t.records] == ["3_1"]
-        assert [r.line for r in t.rejected] == [2]
-        assert t.rejected[0].reason.startswith(reason)
+        assert t.rejected == (RejectedRow(2, reason),)
+
+    def test_carriage_return_inside_quotes_is_kept(self):
+        t = table_of('"4\r1",4,1;-3;1,0,1,1,1,slice,,')
+        assert [r.name for r in t.records] == ["4\r1"]
+        assert t.rejected == ()
 
     @pytest.mark.parametrize("header", [HEADER + "," + "x" * 131073,
                                         HEADER + "\0", HEADER + "\rx"],
@@ -203,9 +210,11 @@ class TestMatcher:
                                        list(m.combined_alexander.coeffs))
 
     def test_required_factors_are_not_factored_again(self, monkeypatch):
-        # the matcher reads the required multiset off the analysis: it
-        # factors the query and the pool, and no product of them
+        # the matcher reads the required multiset off the analysis: what it
+        # factors divides the query's or a pool record's polynomial, nothing
+        # is factored twice, and no product of pool members is factored
         rec = unknown_fixture().find("11a_6")
+        pool = [r.alexander for r in reference_table().records]
         seen = []
 
         def factored(p):
@@ -214,8 +223,11 @@ class TestMatcher:
 
         monkeypatch.setattr(laurent, "factor", factored)
         assert match_candidates(rec, reference_table(), 2)
-        assert set(seen) == {rec.alexander} | {
-            r.alexander for r in reference_table().records}
+        assert seen and len(seen) == len(set(seen))
+        assert all(any(divides_exactly(list(p.coeffs), list(d.coeffs))
+                       for d in [rec.alexander, *pool]) for p in seen)
+        assert not set(seen) & {mul(a, b) for a, b in
+                                itertools.combinations_with_replacement(pool, 2)}
 
     def test_mirror_closure(self):
         # mirroring every summand negates the combined signature, so the

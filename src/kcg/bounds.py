@@ -36,8 +36,9 @@ CATEGORIES = (CATEGORY_SLICE, CATEGORY_IRREDUCIBLE_POLY,
 
 
 class KnotRecord(Record):
-    """One knot's tabulated invariants.
+    """One knot's tabulated invariants, checked here for every table row.
 
+    ``alexander`` must be a knot polynomial (palindromic, |Delta(1)| = 1).
     ``genus4`` is an interval [lo, hi]; when the table leaves it blank the
     parser fills in the always-valid default [ceil(|sigma|/2), genus3].
     ``concordant_to`` names the summands of a knot the table asserts this
@@ -55,10 +56,12 @@ class KnotRecord(Record):
     concordant_to: tuple[str, ...] = ()
 
     def __post_init__(self):
-        lo, hi = self.genus4
+        coeffs = self.alexander.coeffs
+        if coeffs != coeffs[::-1] or abs(laurent.eval_int(self.alexander, 1)) != 1:
+            raise RecordError("not a knot polynomial")
         if self.slice_status not in SLICE_STATUSES:
-            raise RecordError(
-                f"inconsistent knot record: bad slice status {self.slice_status!r}")
+            raise RecordError(f"bad slice status: {self.slice_status!r}")
+        lo, hi = self.genus4
         if not (0 <= lo <= hi <= self.genus3):
             raise RecordError(
                 f"inconsistent knot record: four-genus interval [{lo},{hi}] "
@@ -69,8 +72,6 @@ class KnotRecord(Record):
         if self.alexander.degree > 2 * self.genus3:
             raise RecordError(
                 "inconsistent knot record: polynomial degree exceeds twice the genus")
-        if abs(laurent.eval_int(self.alexander, 1)) != 1:
-            raise RecordError("inconsistent knot record: not a knot polynomial")
         if self.seifert is not None and seifert.alexander(self.seifert) != self.alexander:
             raise RecordError(
                 "inconsistent knot record: Seifert matrix does not match the polynomial")
@@ -88,6 +89,10 @@ class GcBounds(Record):
     upper: int
     contributors: tuple[tuple[str, int], ...]
     status: str
+
+    def contributors_text(self) -> str:
+        """The contributors as ``source=value``, comma-joined."""
+        return ",".join(f"{src}={val}" for src, val in self.contributors)
 
 
 def combine(genus4_lo: int, signature: int, poly_bound: int, genus3: int,
@@ -119,14 +124,15 @@ class Analysis(Record):
     category: str
 
 
-def analyze(k: KnotRecord, fac: Factorization | None,
-            genus_of=None, required=None) -> Analysis:
-    """Interval and category of ``k`` from ``fac``, its factorization (None
-    is fine for slice records), computing the profile and residual once.
+def analyze(k: KnotRecord, factor, genus_of=None, required=None) -> Analysis:
+    """Interval and category of ``k``, computing the profile and residual
+    once.  A slice record is [0, 0] unfactored; any other polynomial goes
+    to ``factor``, e.g. ``laurent.factor`` or a shared ``laurent.factorer()``.
     ``required`` stands in for ``foxmilnor.enhanced_required_factors``,
     e.g. a cache of it shared across records."""
     if k.slice_status == SLICE:
         return Analysis(None, GcBounds(0, 0, (("slice", 0),), DETERMINED), CATEGORY_SLICE)
+    fac = factor(k.alexander)
     profile = seifert.signature_profile(k.seifert) if k.seifert is not None else None
     req = (required or foxmilnor.enhanced_required_factors)(fac, profile)
     bounds = combine(k.genus4[0], k.signature, foxmilnor.gc_poly_lower_bound(req),
@@ -161,8 +167,7 @@ def gc_bounds(k: KnotRecord) -> GcBounds:
     signature jumps when a Seifert matrix is available); the upper bound
     is the genus.
     """
-    fac = None if k.slice_status == SLICE else laurent.factor(k.alexander)
-    return analyze(k, fac).bounds
+    return analyze(k, laurent.factor).bounds
 
 
 def classify(k: KnotRecord, genus_of=None) -> str:
@@ -175,5 +180,4 @@ def classify(k: KnotRecord, genus_of=None) -> str:
     total genus, and finally unknown.  ``genus_of`` maps knot names to
     their genus and is only consulted for the concordance rule.
     """
-    fac = None if k.slice_status == SLICE else laurent.factor(k.alexander)
-    return analyze(k, fac, genus_of).category
+    return analyze(k, laurent.factor, genus_of).category

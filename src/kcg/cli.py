@@ -16,18 +16,11 @@ from .bounds import CATEGORIES, gc_bounds
 from .errors import KcgError
 from .laurent import factor, poly_from_text
 from .seifert import SeifertMatrix, alexander, signature_profile
-from .tabledata import KnotTable, census, match_candidates, parse_table, report_tsv
+from .tabledata import KnotTable, census, match_candidates, read_table, report_tsv
 
 
 def _read_table(path: str) -> KnotTable:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise KcgError(f"cannot read table {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise KcgError(f"cannot read table {path}: not UTF-8") from exc
-    table = parse_table(text, source_path=path)
+    table = read_table(path)
     for bad in table.rejected:
         print(f"kcg: {path}:{bad.line}: {bad.reason}", file=sys.stderr)
     if not table.records:
@@ -40,10 +33,6 @@ def _find_record(table: KnotTable, name: str):
     if rec is None:
         raise KcgError(f"unknown knot: {name}")
     return rec
-
-
-def _contributors(bound) -> str:
-    return ",".join(f"{src}={val}" for src, val in bound.contributors)
 
 
 def _cmd_factor(args) -> int:
@@ -69,7 +58,7 @@ def _cmd_bound(args) -> int:
     rec = _find_record(_read_table(args.table), args.name)
     bound = gc_bounds(rec)
     print(f"{rec.name}\t{bound.lower}\t{bound.upper}\t{bound.status}"
-          f"\t{_contributors(bound)}")
+          f"\t{bound.contributors_text()}")
     return 0
 
 

@@ -25,8 +25,8 @@ from itertools import combinations_with_replacement
 
 from . import foxmilnor, laurent
 from ._record import Record
-from .bounds import (CATEGORY_UNKNOWN, CATEGORIES, DETERMINED, SLICE,
-                     SLICE_STATUSES, GcBounds, KnotRecord, analyze)
+from .bounds import (CATEGORY_UNKNOWN, CATEGORIES, DETERMINED, GcBounds,
+                     KnotRecord, analyze)
 from .errors import KcgError, RecordError, TableError
 from .laurent import LaurentPoly, poly_from_text
 from .seifert import SeifertMatrix
@@ -84,8 +84,6 @@ def _parse_row(fields) -> KnotRecord:
     if not name:
         raise TableError("empty name")
     delta = poly_from_text(alex)
-    if abs(laurent.eval_int(delta, 1)) != 1:
-        raise TableError("not a knot polynomial")
     signature = _parse_int(sig, "signature")
     genus3 = _parse_int(g3, "genus3")
     if g4min == "" and g4max == "":
@@ -94,8 +92,6 @@ def _parse_row(fields) -> KnotRecord:
         raise TableError("four-genus interval must give both ends or neither")
     else:
         genus4 = (_parse_int(g4min, "genus4_min"), _parse_int(g4max, "genus4_max"))
-    if slice_status not in SLICE_STATUSES:
-        raise TableError(f"bad slice status: {slice_status!r}")
     matrix = SeifertMatrix.from_text(seifert_text) if seifert_text else None
     summands = tuple(part.strip() for part in concordant.split("+")
                      if part.strip()) if concordant else ()
@@ -108,11 +104,13 @@ def _parse_row(fields) -> KnotRecord:
 def parse_table(text, source_path: str = "<stream>") -> KnotTable:
     """Parse and validate a knot table.
 
-    Accepts a string or a readable stream.  A malformed header is fatal
-    ("bad schema"); bad rows, lines the CSV reader refuses among them, are
-    collected on ``KnotTable.rejected`` with line numbers, and the parse
-    only fails, naming the first of them, when every row is bad.  A table
-    without rows parses to no records and no rejected rows.
+    Accepts a string or a readable stream.  Lines end at LF; CRs just
+    before it are dropped, a CR in quotes is kept, and any other CR makes
+    its line bad.  A malformed header is fatal ("bad schema"); bad rows,
+    lines the CSV reader refuses among them, are collected on
+    ``KnotTable.rejected`` with line numbers, and the parse only fails,
+    naming the first of them, when every row is bad.  A table without rows
+    parses to no records and no rejected rows.
     """
     if hasattr(text, "read"):
         text = text.read()
@@ -144,6 +142,18 @@ def parse_table(text, source_path: str = "<stream>") -> KnotTable:
     return KnotTable(tuple(records), source_path, tuple(rejected))
 
 
+def read_table(path: str) -> KnotTable:
+    """:func:`parse_table` of the UTF-8 file at ``path``, line endings
+    untouched; a file that cannot be read is a one-line TableError."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return parse_table(fh.read(), source_path=path)
+    except OSError as exc:
+        raise TableError(f"cannot read table {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise TableError(f"cannot read table {path}: not UTF-8") from exc
+
+
 def serialize(table: KnotTable) -> str:
     """CSV text for a table; parse_table(serialize(t)) recovers t.records."""
     buf = io.StringIO()
@@ -164,9 +174,7 @@ def serialize(table: KnotTable) -> str:
 
 
 def _load_bundled(filename: str) -> KnotTable:
-    path = os.path.join(os.path.dirname(__file__), "data", filename)
-    with open(path, encoding="utf-8") as fh:
-        return parse_table(fh.read(), source_path=f"bundled:{filename}")
+    return read_table(os.path.join(os.path.dirname(__file__), "data", filename))
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,7 +242,7 @@ def match_candidates(k: KnotRecord, candidates: KnotTable,
     if not candidates.records:
         raise TableError("empty candidate table")
     factored = laurent.factorer()
-    analysis = analyze(k, factored(k.alexander))
+    analysis = analyze(k, factored)
     if analysis.bounds.status == DETERMINED:
         raise RecordError(f"bounds for {k.name} are already determined")
     (found,) = _sweep([(k, analysis.required.enhanced)],
@@ -319,8 +327,7 @@ def census(table: KnotTable, candidates: KnotTable | None = None,
     counts = {category: 0 for category in CATEGORIES}
     analyses, queries, pool = [], {}, None
     for i, rec in enumerate(table.records):
-        fac = None if rec.slice_status == SLICE else factored(rec.alexander)
-        analysis = analyze(rec, fac, genus_of, required)
+        analysis = analyze(rec, factored, genus_of, required)
         counts[analysis.category] += 1
         analyses.append(analysis)
         if candidates is not None and analysis.category == CATEGORY_UNKNOWN:
@@ -340,8 +347,7 @@ def report_tsv(report: CensusReport) -> str:
     lines = ["\t".join(("name", "gc_lower", "gc_upper", "category",
                         "contributors", "candidates"))]
     for row in report.rows:
-        contribs = ",".join(f"{src}={val}" for src, val in row.bounds.contributors)
-        lines.append("\t".join((row.name, str(row.bounds.lower),
-                                str(row.bounds.upper), row.category,
-                                contribs, ",".join(row.candidates))))
+        lines.append("\t".join((row.name, str(row.bounds.lower), str(row.bounds.upper),
+                                row.category, row.bounds.contributors_text(),
+                                ",".join(row.candidates))))
     return "\n".join(lines) + "\n"

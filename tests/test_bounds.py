@@ -54,6 +54,12 @@ class TestKnotRecordValidation:
         with pytest.raises(RecordError, match="not a knot polynomial"):
             record(alexander=P("1;-2;1"))  # vanishes at t = 1
 
+    @pytest.mark.parametrize("text", ["2;-1", "1;-1;0;1"])
+    def test_polynomial_must_be_palindromic(self, text):
+        # both are 1 at t = 1
+        with pytest.raises(RecordError, match="^not a knot polynomial$"):
+            record(alexander=P(text))
+
     def test_seifert_must_match(self):
         trefoil = SeifertMatrix(((-1, 1), (0, -1)))
         record(seifert=trefoil)  # matches 1-t+t^2

@@ -11,8 +11,8 @@ import pytest
 import kcg
 from kcg.bounds import CATEGORIES
 from kcg.cli import main
-from kcg.tabledata import (SCHEMA, concordant_fixture, reference_table,
-                           serialize, unknown_fixture)
+from kcg.tabledata import (SCHEMA, census, concordant_fixture, parse_table,
+                           reference_table, report_tsv, serialize, unknown_fixture)
 from oracles import swinnerton_dyer
 
 PACKAGE = Path(kcg.__file__).resolve().parent
@@ -305,6 +305,34 @@ class TestCensusCommand:
         assert main(["census", "--table", str(path)]) == 1
         assert capsys.readouterr() == (
             "", f"kcg: all rows rejected; line 2: {reason}\n")
+
+    def test_quoted_carriage_return_reads_as_parse_table_reads_it(self, tmp_path, capsys):
+        text = (",".join(SCHEMA) + '\n"4\r1",4,1;-3;1,0,1,1,1,slice,,\n'
+                "bad,3,1;-2;1,0,1,1,1,not_slice,,\n3_1,3,1;-1;1,-2,1,1,1,not_slice,,\n")
+        path, report = tmp_path / "cr.csv", tmp_path / "r.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        assert main(["census", "--table", str(path), "--report", str(report)]) == 0
+        table = parse_table(text)
+        assert [r.name for r in table.records] == ["4\r1", "3_1"]
+        assert capsys.readouterr().err == "".join(
+            f"kcg: {path}:{bad.line}: {bad.reason}\n" for bad in table.rejected)
+        assert report.read_bytes() == report_tsv(census(table)).encode("utf-8")
+
+    def test_polynomial_not_palindromic_is_a_rejected_row(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(SCHEMA) + "\nbad,3,2;-1,0,1,,,unknown,,\n"
+                        "3_1,3,1;-1;1,-2,1,1,1,not_slice,,\n", encoding="utf-8")
+        assert main(["census", "--table", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == f"kcg: {path}:2: not a knot polynomial\n"
+        assert out.endswith("total\t1\n")
+
+    def test_cr_line_endings_are_bad_schema(self, tmp_path, capsys):
+        path = tmp_path / "cr.csv"
+        path.write_bytes((",".join(SCHEMA) + "\r3_1,3,1;-1;1,-2,1,1,1,not_slice,,\r")
+                         .encode("utf-8"))
+        assert main(["census", "--table", str(path)]) == 1
+        assert capsys.readouterr() == ("", "kcg: bad schema\n")
 
     def test_table_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "utf16.csv"

@@ -150,7 +150,7 @@ def test_cached_polynomial_survives_a_round_trip():
     (lambda: SignatureProfile((0, 2), ()), ProfileError,
      "one more value than jump brackets expected"),
     (lambda: KnotRecord(*TREFOIL_RECORD[:6], "maybe"), RecordError,
-     "bad slice status 'maybe'"),
+     "bad slice status: 'maybe'"),
     (lambda: KnotRecord(*TREFOIL_RECORD[:5], genus4=(1, 2),
                         slice_status="not_slice"),
      RecordError, r"four-genus interval \[1,2\] vs genus 1"),

@@ -2,23 +2,29 @@
 
 import hashlib
 import itertools
+import os
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import kcg
 from kcg import laurent
-from kcg.bounds import CATEGORY_UNKNOWN
-from kcg.errors import RecordError, TableError
+from kcg.bounds import CATEGORY_UNKNOWN, SLICE_STATUSES
+from kcg.errors import KcgError, RecordError, TableError
 from kcg.laurent import factor, mul, poly_from_text
 from kcg.tabledata import (KnotTable, RejectedRow, census,
                            concordant_fixture, match_candidates, parse_table,
-                           reference_table, report_tsv, serialize,
+                           read_table, reference_table, report_tsv, serialize,
                            slice_fixture, unknown_fixture,
                            _achievable_signatures)
 from oracles import divides_exactly
 
 HEADER = ("name,crossings,alexander,signature,genus3,genus4_min,genus4_max,"
           "slice,seifert,concordant_to")
+DATA = os.path.join(os.path.dirname(kcg.__file__), "data")
+BUNDLED = ("knots_small.csv", "slice_11.csv", "concordant_11.csv", "unknown_11.csv")
 
 
 def table_of(*rows):
@@ -121,6 +127,73 @@ class TestParse:
         t = parse_table(stream, source_path="mem")
         assert len(t.records) == 1
         assert t.source_path == "mem"
+
+
+class TestReadTable:
+    @pytest.mark.parametrize("filename", BUNDLED)
+    def test_crlf_copy_of_a_bundled_table_parses_the_same(self, filename, tmp_path):
+        lf = read_table(os.path.join(DATA, filename))
+        with open(os.path.join(DATA, filename), "rb") as fh:
+            data = fh.read()
+        assert b"\r" not in data
+        path = tmp_path / filename
+        path.write_bytes(data.replace(b"\n", b"\r\n"))
+        crlf = read_table(str(path))
+        assert crlf.records == lf.records and crlf.rejected == lf.rejected == ()
+        assert crlf.source_path == str(path)
+
+    def test_bundled_tables_are_read_from_their_files(self):
+        assert reference_table().source_path == os.path.join(DATA, "knots_small.csv")
+
+    def test_unreadable_file_is_a_table_error(self, tmp_path):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes(b"\xff\xfen\x00a\x00m\x00e\x00")
+        with pytest.raises(TableError, match=f"^cannot read table {path}: not UTF-8$"):
+            read_table(str(path))
+        with pytest.raises(TableError, match="^cannot read table .*: No such file or directory$"):
+            read_table(str(tmp_path / "missing.csv"))
+
+
+# characters a mutation inserts or writes over, and the slice words
+MUTATION_TOKENS = tuple(',;-0123456789"\r\n\t#\0') + SLICE_STATUSES
+SERIALIZED = tuple(serialize(read_table(os.path.join(DATA, f))) for f in BUNDLED)
+
+
+@st.composite
+def mutated_tables(draw):
+    """A bundled table with a few of its rows mutated: a token inserted,
+    a character deleted, or characters written over by a token."""
+    header, *rows = draw(st.sampled_from(SERIALIZED)).split("\n")[:-1]
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(rows) - 1))
+        row, at = rows[i], draw(st.integers(0, len(rows[i])))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        token = draw(st.sampled_from(MUTATION_TOKENS))
+        if op == "insert":
+            rows[i] = row[:at] + token + row[at:]
+        elif op == "delete":
+            rows[i] = row[:at] + row[at + 1:]
+        else:
+            rows[i] = row[:at] + token + row[at + len(token):]
+    return "\n".join((header, *rows)) + "\n"
+
+
+class TestParseFuzz:
+    @settings(derandomize=True, max_examples=300, deadline=2000, database=None)
+    @given(mutated_tables())
+    @example(HEADER + "\nbad,3,2;-1,0,1,,,unknown,,\n3_1,3,1;-1;1,-2,1,1,1,not_slice,,\n")
+    def test_mutated_rows(self, text):
+        try:
+            table = parse_table(text)
+        except TableError:
+            return
+        for rec in table.records:
+            coeffs = rec.alexander.coeffs
+            assert coeffs == coeffs[::-1] and abs(sum(coeffs)) == 1
+        try:
+            census(table)
+        except KcgError as exc:
+            assert "palindromic" not in str(exc)
 
 
 class TestSerialize:

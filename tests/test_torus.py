@@ -70,7 +70,7 @@ def test_jump_alone_decides_the_genus():
     # Phi_6^2 back in and raises the bound from 2 to the genus, 4
     rec = torus_sum_record("T(2,3)#T(2,3)#-T(2,5)", [(2, 3, 1), (2, 3, 1), (2, 5, -1)])
     assert rec.signature == 0
-    analysis = analyze(rec, factor(rec.alexander))
+    analysis = analyze(rec, factor)
     assert (analysis.bounds.lower, analysis.bounds.upper) == (4, 4)
     assert analysis.bounds.status == DETERMINED
     assert analysis.bounds.contributors == (("polynomial+jump", 4),)
@@ -80,7 +80,7 @@ def test_jump_alone_decides_the_genus():
 def test_slice_sum_gets_no_enhancement():
     # T(2,3)#-T(2,3) is slice: the same Phi_6^2, but no jump
     rec = torus_sum_record("T(2,3)#-T(2,3)", [(2, 3, 1), (2, 3, -1)])
-    analysis = analyze(rec, factor(rec.alexander))
+    analysis = analyze(rec, factor)
     assert (analysis.bounds.lower, analysis.bounds.upper) == (0, 2)
     assert analysis.bounds.status == UNDETERMINED
     assert analysis.required.residual.expand() == analysis.required.enhanced.expand() == ONE
@@ -114,7 +114,7 @@ def grid_oracle(a, b, sign):
 @pytest.mark.parametrize("a,b,sign", GRID_SUMS, ids=GRID_IDS)
 def test_sum_analysis_matches_the_oracles(a, b, sign):
     rec = torus_sum_record("sum", [(*a, 1), (*b, sign)])
-    analysis = analyze(rec, factor(rec.alexander))
+    analysis = analyze(rec, factor)
     residual, enhanced, lower = grid_oracle(a, b, sign)
     assert {q.coeffs: m for q, m in analysis.required.residual.factors} == residual
     assert {q.coeffs: m for q, m in analysis.required.enhanced.factors} == enhanced

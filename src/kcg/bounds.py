@@ -8,8 +8,6 @@ tables never matters here.
 
 from __future__ import annotations
 
-import math
-
 from . import foxmilnor, laurent, seifert
 from ._record import Record
 from .errors import RecordError
@@ -35,14 +33,21 @@ CATEGORIES = (CATEGORY_SLICE, CATEGORY_IRREDUCIBLE_POLY,
               CATEGORY_CONCORDANT, CATEGORY_UNKNOWN)
 
 
+def signature_bound(sigma: int) -> int:
+    """The signature's four-genus lower bound ceil(|sigma|/2), exactly."""
+    return (abs(sigma) + 1) // 2
+
+
 class KnotRecord(Record):
     """One knot's tabulated invariants, checked here for every table row.
 
+    ``name`` and each ``concordant_to`` entry (a summand of a knot the
+    table asserts this one is concordant to) must be non-empty, printable
+    (no TAB, CR or LF), without surrounding whitespace or a leading ``#``;
+    an entry also holds no ``+``.  So a name fits one CSV line and TSV cell.
     ``alexander`` must be a knot polynomial (palindromic, |Delta(1)| = 1).
     ``genus4`` is an interval [lo, hi]; when the table leaves it blank the
-    parser fills in the always-valid default [ceil(|sigma|/2), genus3].
-    ``concordant_to`` names the summands of a knot the table asserts this
-    one is concordant to ("3_1", "4_1") or is empty.
+    parser fills in the always-valid default [signature_bound, genus3].
     """
 
     name: str
@@ -56,6 +61,10 @@ class KnotRecord(Record):
     concordant_to: tuple[str, ...] = ()
 
     def __post_init__(self):
+        for name in (self.name, *self.concordant_to):
+            if (not name.isprintable() or name != name.strip() or name[:1] in ("", "#")
+                    or ("+" in name and name in self.concordant_to)):
+                raise RecordError(f"bad name: {name!r}")
         coeffs = self.alexander.coeffs
         if coeffs != coeffs[::-1] or abs(laurent.eval_int(self.alexander, 1)) != 1:
             raise RecordError("not a knot polynomial")
@@ -66,7 +75,7 @@ class KnotRecord(Record):
             raise RecordError(
                 f"inconsistent knot record: four-genus interval [{lo},{hi}] "
                 f"vs genus {self.genus3}")
-        if math.ceil(abs(self.signature) / 2) > hi:
+        if signature_bound(self.signature) > hi:
             raise RecordError(
                 "inconsistent knot record: |signature|/2 exceeds the four-genus")
         if self.alexander.degree > 2 * self.genus3:
@@ -97,12 +106,12 @@ class GcBounds(Record):
 
 def combine(genus4_lo: int, signature: int, poly_bound: int, genus3: int,
             jump_enhanced: bool = False) -> GcBounds:
-    """Merge the individual lower bounds into an interval.
+    """Merge genus4_lo, signature_bound(signature) and poly_bound into an interval.
 
     This is the pure combiner: it trusts the numbers it is handed, so it
     can replay tabulated bound columns as well as freshly computed ones.
     """
-    sig_bound = math.ceil(abs(signature) / 2)
+    sig_bound = signature_bound(signature)
     lower = max(genus4_lo, sig_bound, poly_bound)
     if lower > genus3:
         raise RecordError("inconsistent knot record: lower bound exceeds the genus")

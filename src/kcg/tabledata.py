@@ -26,7 +26,7 @@ from itertools import combinations_with_replacement
 from . import foxmilnor, laurent
 from ._record import Record
 from .bounds import (CATEGORY_UNKNOWN, CATEGORIES, DETERMINED, GcBounds,
-                     KnotRecord, analyze)
+                     KnotRecord, analyze, signature_bound)
 from .errors import KcgError, RecordError, TableError
 from .laurent import LaurentPoly, poly_from_text
 from .seifert import SeifertMatrix
@@ -62,17 +62,17 @@ def _parse_int(text: str, field: str) -> int:
 
 
 def _split(line: str) -> list[str]:
-    """The CSV fields of one line.  A NUL, and a CR outside quotes, are
-    refused with reasons of their own, the same on every Python (the
-    reader's advice about a CR differs between releases); a CR inside a
-    quoted field is kept."""
+    """The CSV fields of one line, as one row is one line: a NUL, a CR or an
+    odd number of quotes rejects it, with a reason the same on every Python."""
     if "\0" in line:
         raise TableError("line contains NUL")
+    if "\r" in line:
+        raise TableError("line contains CR")
+    if line.count('"') % 2:
+        raise TableError("unbalanced quotes")
     try:
         return next(csv.reader([line]))
     except csv.Error as exc:
-        if str(exc).startswith("new-line character seen in unquoted field"):
-            raise TableError("line contains CR outside quotes") from exc
         raise TableError(str(exc)) from exc
 
 
@@ -81,20 +81,17 @@ def _parse_row(fields) -> KnotRecord:
         raise TableError(f"expected {len(SCHEMA)} fields, got {len(fields)}")
     (name, crossings, alex, sig, g3, g4min, g4max,
      slice_status, seifert_text, concordant) = (f.strip() for f in fields)
-    if not name:
-        raise TableError("empty name")
     delta = poly_from_text(alex)
     signature = _parse_int(sig, "signature")
     genus3 = _parse_int(g3, "genus3")
     if g4min == "" and g4max == "":
-        genus4 = ((abs(signature) + 1) // 2, genus3)
+        genus4 = (signature_bound(signature), genus3)
     elif g4min == "" or g4max == "":
         raise TableError("four-genus interval must give both ends or neither")
     else:
         genus4 = (_parse_int(g4min, "genus4_min"), _parse_int(g4max, "genus4_max"))
     matrix = SeifertMatrix.from_text(seifert_text) if seifert_text else None
-    summands = tuple(part.strip() for part in concordant.split("+")
-                     if part.strip()) if concordant else ()
+    summands = tuple(part.strip() for part in concordant.split("+") if part.strip())
     return KnotRecord(name=name, crossings=_parse_int(crossings, "crossings"),
                       alexander=delta, signature=signature, genus3=genus3,
                       genus4=genus4, slice_status=slice_status,
@@ -102,15 +99,14 @@ def _parse_row(fields) -> KnotRecord:
 
 
 def parse_table(text, source_path: str = "<stream>") -> KnotTable:
-    """Parse and validate a knot table.
+    """Parse a knot table; :class:`KnotRecord` validates each row.
 
-    Accepts a string or a readable stream.  Lines end at LF; CRs just
-    before it are dropped, a CR in quotes is kept, and any other CR makes
-    its line bad.  A malformed header is fatal ("bad schema"); bad rows,
-    lines the CSV reader refuses among them, are collected on
-    ``KnotTable.rejected`` with line numbers, and the parse only fails,
-    naming the first of them, when every row is bad.  A table without rows
-    parses to no records and no rejected rows.
+    Accepts a string or a readable stream.  Each row is one line: lines end
+    at LF, CRs just before it are dropped, and :func:`_split` rejects any
+    other CR.  A malformed header is fatal ("bad schema"); bad rows are
+    collected on ``KnotTable.rejected`` with line numbers, and the parse
+    only fails, naming the first of them, when every row is bad.  A table
+    without rows parses to no records and no rejected rows.
     """
     if hasattr(text, "read"):
         text = text.read()
@@ -155,7 +151,7 @@ def read_table(path: str) -> KnotTable:
 
 
 def serialize(table: KnotTable) -> str:
-    """CSV text for a table; parse_table(serialize(t)) recovers t.records."""
+    """CSV text, one line per record: parse_table(serialize(t)) recovers t.records."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SCHEMA)
@@ -239,14 +235,12 @@ def match_candidates(k: KnotRecord, candidates: KnotTable,
     The query and the pool share one :func:`laurent.factorer`, so each
     irreducible is found by Zassenhaus at most once per call.
     """
-    if not candidates.records:
-        raise TableError("empty candidate table")
     factored = laurent.factorer()
+    pool = _pool(candidates, factored)
     analysis = analyze(k, factored)
     if analysis.bounds.status == DETERMINED:
         raise RecordError(f"bounds for {k.name} are already determined")
-    (found,) = _sweep([(k, analysis.required.enhanced)],
-                      _pool(candidates, factored), max_summands)
+    (found,) = _sweep([(k, analysis.required.enhanced)], pool, max_summands)
     return tuple(CandidateMatch(expression, total.expand(), genus, crossings)
                  for genus, crossings, expression, total in found)
 

@@ -1,6 +1,7 @@
 """Bound combination and census classification."""
 
 import math
+import re
 from importlib import resources
 
 import pytest
@@ -9,7 +10,7 @@ from kcg.bounds import (CATEGORY_CONCORDANT, CATEGORY_IRREDUCIBLE_POLY,
                         CATEGORY_NO_SYMMETRIC_PAIR, CATEGORY_SIGNATURE_OR_G4,
                         CATEGORY_SLICE, CATEGORY_UNKNOWN, DETERMINED,
                         UNDETERMINED, GcBounds, KnotRecord, classify, combine,
-                        gc_bounds)
+                        gc_bounds, signature_bound)
 from kcg import seifert
 from kcg.errors import RecordError
 from kcg.laurent import mul, poly_from_text
@@ -60,6 +61,28 @@ class TestKnotRecordValidation:
         with pytest.raises(RecordError, match="^not a knot polynomial$"):
             record(alexander=P(text))
 
+    def test_signature_bound_is_exact_past_float_precision(self):
+        # ceil((2**54 + 2) / 2) in floats is 2**53: the record would pass
+        big = 2**53
+        assert signature_bound(2 * big + 2) == big + 1
+        assert signature_bound(-(10**400) - 1) == 10**400 // 2 + 1
+        with pytest.raises(RecordError, match="exceeds the four-genus"):
+            record(signature=2 * big + 2, genus3=big, genus4=(0, big))
+        record(signature=2 * big, genus3=big, genus4=(0, big))
+
+    @pytest.mark.parametrize("name", ["", " k", "k ", "#k", "k\tl", "k\nl",
+                                      "k\rl", "k\0", "k\u00a0"])
+    def test_bad_name(self, name):
+        with pytest.raises(RecordError, match=f"^bad name: {re.escape(repr(name))}$"):
+            record(name=name)
+        with pytest.raises(RecordError, match=f"^bad name: {re.escape(repr(name))}$"):
+            record(concordant_to=("3_1", name))
+
+    def test_plus_is_refused_in_concordant_to_only(self):
+        record(name="k+l", concordant_to=("T(2,3)#T(2,3)#-T(2,5)", "k #1"))
+        with pytest.raises(RecordError, match=r"^bad name: '3_1\+4_1'$"):
+            record(name="3_1+4_1", concordant_to=("3_1+4_1",))
+
     def test_seifert_must_match(self):
         trefoil = SeifertMatrix(((-1, 1), (0, -1)))
         record(seifert=trefoil)  # matches 1-t+t^2
@@ -101,6 +124,10 @@ class TestCombine:
     def test_signature_rounds_up(self):
         b = combine(0, -3, 0, 2)
         assert b.lower == 2 and b.contributors == (("signature", 2),)
+
+    def test_signature_bound_is_exact_past_float_precision(self):
+        b = combine(0, 2**54 + 2, 0, 2**53 + 1)
+        assert b.lower == 2**53 + 1 and b.contributors == (("signature", 2**53 + 1),)
 
     def test_overconstrained_rejected(self):
         with pytest.raises(RecordError):

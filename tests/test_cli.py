@@ -313,7 +313,8 @@ class TestCensusCommand:
         path.write_bytes(text.encode("utf-8"))
         assert main(["census", "--table", str(path), "--report", str(report)]) == 0
         table = parse_table(text)
-        assert [r.name for r in table.records] == ["4\r1", "3_1"]
+        assert [r.name for r in table.records] == ["3_1"]
+        assert table.rejected[0].reason == "line contains CR"
         assert capsys.readouterr().err == "".join(
             f"kcg: {path}:{bad.line}: {bad.reason}\n" for bad in table.rejected)
         assert report.read_bytes() == report_tsv(census(table)).encode("utf-8")
@@ -326,6 +327,25 @@ class TestCensusCommand:
         out, err = capsys.readouterr()
         assert err == f"kcg: {path}:2: not a knot polynomial\n"
         assert out.endswith("total\t1\n")
+
+    @pytest.mark.parametrize("row", [
+        f"big,3,1;-1;1,{10**400},1,0,1,not_slice,,",
+        '"3\t1",3,1;-1;1,-2,1,1,1,not_slice,,',
+        '"a\nb",3,1;-1;1,-2,1,1,1,not_slice,,',
+        '"#x",3,1;-1;1,-2,1,1,1,not_slice,,',
+    ], ids=["huge-signature", "tab", "quoted-line-feed", "comment-mark"])
+    def test_bad_row_is_rejected_and_the_rest_reported(self, tmp_path, row):
+        path, report = tmp_path / "bad.csv", tmp_path / "r.tsv"
+        path.write_bytes((",".join(SCHEMA) + "\n" + row
+                          + "\n3_1,3,1;-1;1,-2,1,1,1,not_slice,,\n").encode("utf-8"))
+        proc = _run_module(["census", "--table", str(path), "--report", str(report)])
+        assert proc.returncode == 0 and proc.stdout.endswith("total\t1\n")
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"kcg: {path}:2: ")
+        assert all(line.startswith("kcg: ") for line in proc.stderr.splitlines())
+        lines = report.read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t")[0] for line in lines] == ["name", "3_1"]
+        assert all(line.count("\t") == 5 for line in lines)
 
     def test_cr_line_endings_are_bad_schema(self, tmp_path, capsys):
         path = tmp_path / "cr.csv"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import kcg
 from kcg import laurent
-from kcg.bounds import CATEGORY_UNKNOWN, SLICE_STATUSES
+from kcg.bounds import CATEGORY_UNKNOWN, SLICE_STATUSES, KnotRecord
 from kcg.errors import KcgError, RecordError, TableError
 from kcg.laurent import factor, mul, poly_from_text
 from kcg.tabledata import (KnotTable, RejectedRow, census,
@@ -25,6 +25,8 @@ HEADER = ("name,crossings,alexander,signature,genus3,genus4_min,genus4_max,"
           "slice,seifert,concordant_to")
 DATA = os.path.join(os.path.dirname(kcg.__file__), "data")
 BUNDLED = ("knots_small.csv", "slice_11.csv", "concordant_11.csv", "unknown_11.csv")
+TREFOIL_FIELDS = dict(crossings=3, alexander=poly_from_text("1;-1;1"), signature=-2,
+                      genus3=1, genus4=(1, 1), slice_status="not_slice")
 
 
 def table_of(*rows):
@@ -79,8 +81,8 @@ class TestParse:
          "field larger than field limit (131072)"),
         ("3_1,3,1;-1;1,-2,1,1,1,not_slice,,\0", "line contains NUL"),
         ("\0", "line contains NUL"),
-        ("4_1,4,1;-3;1,0,1,1,1,\rslice,,", "line contains CR outside quotes"),
-        ("4_1,4,\r1;-3;1,0,1,1,1,slice,,", "line contains CR outside quotes"),
+        ("4_1,4,1;-3;1,0,1,1,1,\rslice,,", "line contains CR"),
+        ("4_1,4,\r1;-3;1,0,1,1,1,slice,,", "line contains CR"),
     ], ids=["long-field", "nul", "only-nul", "carriage-return", "carriage-return-first"])
     def test_line_the_csv_reader_refuses_is_rejected(self, line, reason):
         # Python 3.10's reader refuses a NUL itself, later ones keep it;
@@ -89,10 +91,49 @@ class TestParse:
         assert [r.name for r in t.records] == ["3_1"]
         assert t.rejected == (RejectedRow(2, reason),)
 
-    def test_carriage_return_inside_quotes_is_kept(self):
-        t = table_of('"4\r1",4,1;-3;1,0,1,1,1,slice,,')
-        assert [r.name for r in t.records] == ["4\r1"]
-        assert t.rejected == ()
+    def test_carriage_return_inside_quotes_is_rejected(self):
+        # one row is one line, so no field holds a CR
+        t = table_of('"4\r1",4,1;-3;1,0,1,1,1,slice,,', "3_1,3,1;-1;1,-2,1,1,1,not_slice,,")
+        assert [r.name for r in t.records] == ["3_1"]
+        assert t.rejected == (RejectedRow(2, "line contains CR"),)
+
+    @pytest.mark.parametrize("row, reason", [
+        ('"4\t1",4,1;-3;1,0,1,1,1,slice,,', "bad name: '4\\t1'"),
+        ('"#x",4,1;-3;1,0,1,1,1,slice,,', "bad name: '#x'"),
+        ('"",4,1;-3;1,0,1,1,1,slice,,', "bad name: ''"),
+        ('4_1,4,1;-3;1,0,1,1,1,slice,,"3_1+a\tb"', "bad name: 'a\\tb'"),
+    ], ids=["tab", "comment-mark", "empty", "tab-in-concordant-to"])
+    def test_bad_name_is_rejected(self, row, reason):
+        t = table_of(row, "3_1,3,1;-1;1,-2,1,1,1,not_slice,,")
+        assert [r.name for r in t.records] == ["3_1"]
+        assert t.rejected == (RejectedRow(2, reason),)
+
+    def test_quoted_line_feed_rejects_both_halves(self):
+        t = table_of('"a\nb",4,1;-3;1,0,1,1,1,slice,,', "3_1,3,1;-1;1,-2,1,1,1,not_slice,,")
+        assert [r.name for r in t.records] == ["3_1"]
+        assert t.rejected == (RejectedRow(2, "unbalanced quotes"),
+                              RejectedRow(3, "unbalanced quotes"))
+
+    def test_stray_quote_is_unbalanced(self):
+        t = table_of('a"b,3,1;-1;1,-2,1,1,1,not_slice,,', '"a""b",3,1;-1;1,-2,1,1,1,not_slice,,')
+        assert [r.name for r in t.records] == ['a"b']
+        assert t.rejected == (RejectedRow(2, "unbalanced quotes"),)
+
+    @pytest.mark.parametrize("genus4", ["0,1", ","], ids=["explicit", "default"])
+    def test_huge_signature_is_a_rejected_row(self, genus4):
+        t = table_of(f"big,3,1;-1;1,{10**400},1,{genus4},not_slice,,",
+                     "3_1,3,1;-1;1,-2,1,1,1,not_slice,,")
+        assert [r.name for r in t.records] == ["3_1"]
+        assert [bad.line for bad in t.rejected] == [2]
+        assert t.rejected[0].reason.startswith("inconsistent knot record: ")
+
+    def test_signature_past_float_precision_is_refused(self):
+        big = 2**53
+        t = table_of(f"big,3,1;-1;1,{2 * big + 2},{big},0,{big},not_slice,,",
+                     f"ok,3,1;-1;1,{2 * big},{big},0,{big},not_slice,,")
+        assert [r.name for r in t.records] == ["ok"]
+        assert t.rejected == (RejectedRow(
+            2, "inconsistent knot record: |signature|/2 exceeds the four-genus"),)
 
     @pytest.mark.parametrize("header", [HEADER + "," + "x" * 131073,
                                         HEADER + "\0", HEADER + "\rx"],
@@ -190,10 +231,31 @@ class TestParseFuzz:
         for rec in table.records:
             coeffs = rec.alexander.coeffs
             assert coeffs == coeffs[::-1] and abs(sum(coeffs)) == 1
+        assert parse_table(serialize(table)).records == table.records
         try:
-            census(table)
+            report = census(table)
         except KcgError as exc:
             assert "palindromic" not in str(exc)
+            return
+        assert all(line.count("\t") == 5 for line in report_tsv(report).splitlines())
+
+    @settings(derandomize=True, max_examples=300, deadline=2000, database=None)
+    @given(st.text())
+    @example("4\t1")
+    @example("a\nb")
+    @example("4\r1")
+    @example("#x")
+    @example('a"b')
+    def test_name_is_refused_or_round_trips(self, name):
+        """As a name and as a concordant_to entry, a text is either refused
+        by KnotRecord or read back unchanged from the serialized table."""
+        for fields in ({"name": name}, {"name": "k", "concordant_to": (name,)}):
+            try:
+                rec = KnotRecord(**TREFOIL_FIELDS, **fields)
+            except RecordError as exc:
+                assert str(exc) == f"bad name: {name!r}"
+                continue
+            assert parse_table(serialize(KnotTable((rec,)))).records == (rec,)
 
 
 class TestSerialize:

@@ -6,21 +6,32 @@ invariants (knot polynomial, Murasugi and Levine-Tristram signatures with
 jump analysis), the slice obstruction and its genus lower bound, a bound
 combiner with provenance, and table ingestion with a census report and a
 candidate-concordance matcher.
+
+``import kcg`` loads only ``errors`` and ``laurent``, which every ``kcg``
+command needs.  Every other public name, and each of the layers
+``bounds``, ``foxmilnor``, ``seifert`` and ``tabledata``, is loaded on
+first access (PEP 562), so a short process compiles only the layers it
+runs.
 """
 
-from .bounds import (CATEGORIES, GcBounds, KnotRecord, classify, combine,
-                     gc_bounds)
 from .errors import KcgError
-from .foxmilnor import (RequiredFactors, enhanced_required_factors,
-                        gc_poly_lower_bound, residual, slice_obstruction)
 from .laurent import (Factorization, LaurentPoly, canonicalize, eval_int,
                       factor, is_symmetric, mul, poly_from_text, reciprocal)
-from .seifert import (SeifertMatrix, SignatureProfile, alexander,
-                      murasugi_signature, signature_profile,
-                      unit_circle_root_angles)
-from .tabledata import (CandidateMatch, CensusReport, KnotTable, census,
-                        match_candidates, parse_table, reference_table,
-                        report_tsv, serialize)
+
+# each name loaded on first access -> the layer that defines it
+_LAZY = {name: layer for layer, names in (
+    ("bounds", ("CATEGORIES", "GcBounds", "KnotRecord", "classify", "combine",
+                "gc_bounds")),
+    ("foxmilnor", ("RequiredFactors", "enhanced_required_factors",
+                   "gc_poly_lower_bound", "residual", "slice_obstruction")),
+    ("seifert", ("SeifertMatrix", "SignatureProfile", "alexander",
+                 "murasugi_signature", "signature_profile",
+                 "unit_circle_root_angles")),
+    ("tabledata", ("CandidateMatch", "CensusReport", "KnotTable", "census",
+                   "match_candidates", "parse_table", "reference_table",
+                   "report_tsv", "serialize")),
+) for name in names}
+_LAYERS = frozenset(_LAZY.values())
 
 __all__ = [
     "CATEGORIES", "CandidateMatch", "CensusReport", "Factorization",
@@ -36,3 +47,18 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Load a layer, or the layer behind a lazy name, on first access; the
+    name then stays bound here."""
+    import importlib
+
+    layer = name if name in _LAYERS else _LAZY.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{layer}", __name__)
+    if layer == name:
+        return module
+    value = globals()[name] = getattr(module, name)
+    return value

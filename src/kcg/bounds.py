@@ -8,11 +8,16 @@ tables never matters here.
 
 from __future__ import annotations
 
-from . import foxmilnor, laurent, seifert
+from . import foxmilnor, laurent
 from ._record import Record
 from .errors import RecordError
 from .laurent import Factorization, LaurentPoly
-from .seifert import SeifertMatrix
+
+# ``seifert`` is imported only where a record holds a matrix, so a table
+# without matrices never loads it
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .seifert import SeifertMatrix
 
 SLICE = "slice"
 NOT_SLICE = "not_slice"
@@ -33,6 +38,10 @@ CATEGORIES = (CATEGORY_SLICE, CATEGORY_IRREDUCIBLE_POLY,
               CATEGORY_CONCORDANT, CATEGORY_UNKNOWN)
 
 
+# the CSV reader's default field size limit, which the table parser keeps
+FIELD_LIMIT = 131072
+
+
 def signature_bound(sigma: int) -> int:
     """The signature's four-genus lower bound ceil(|sigma|/2), exactly."""
     return (abs(sigma) + 1) // 2
@@ -44,7 +53,9 @@ class KnotRecord(Record):
     ``name`` and each ``concordant_to`` entry (a summand of a knot the
     table asserts this one is concordant to) must be non-empty, printable
     (no TAB, CR or LF), without surrounding whitespace or a leading ``#``;
-    an entry also holds no ``+``.  So a name fits one CSV line and TSV cell.
+    an entry also holds no ``+``.  The name, and the entries joined with
+    ``+``, are at most ``FIELD_LIMIT`` characters long.  So a name fits one
+    CSV line, a field the CSV reader accepts, and a TSV cell.
     ``alexander`` must be a knot polynomial (palindromic, |Delta(1)| = 1).
     ``genus4`` is an interval [lo, hi]; when the table leaves it blank the
     parser fills in the always-valid default [signature_bound, genus3].
@@ -65,6 +76,9 @@ class KnotRecord(Record):
             if (not name.isprintable() or name != name.strip() or name[:1] in ("", "#")
                     or ("+" in name and name in self.concordant_to)):
                 raise RecordError(f"bad name: {name!r}")
+        for field in (self.name, "+".join(self.concordant_to)):
+            if len(field) > FIELD_LIMIT:
+                raise RecordError(f"bad name: {field!r}")
         coeffs = self.alexander.coeffs
         if coeffs != coeffs[::-1] or abs(laurent.eval_int(self.alexander, 1)) != 1:
             raise RecordError("not a knot polynomial")
@@ -81,9 +95,12 @@ class KnotRecord(Record):
         if self.alexander.degree > 2 * self.genus3:
             raise RecordError(
                 "inconsistent knot record: polynomial degree exceeds twice the genus")
-        if self.seifert is not None and seifert.alexander(self.seifert) != self.alexander:
-            raise RecordError(
-                "inconsistent knot record: Seifert matrix does not match the polynomial")
+        if self.seifert is not None:
+            from . import seifert
+
+            if seifert.alexander(self.seifert) != self.alexander:
+                raise RecordError(
+                    "inconsistent knot record: Seifert matrix does not match the polynomial")
 
 
 class GcBounds(Record):
@@ -142,7 +159,11 @@ def analyze(k: KnotRecord, factor, genus_of=None, required=None) -> Analysis:
     if k.slice_status == SLICE:
         return Analysis(None, GcBounds(0, 0, (("slice", 0),), DETERMINED), CATEGORY_SLICE)
     fac = factor(k.alexander)
-    profile = seifert.signature_profile(k.seifert) if k.seifert is not None else None
+    profile = None
+    if k.seifert is not None:
+        from . import seifert
+
+        profile = seifert.signature_profile(k.seifert)
     req = (required or foxmilnor.enhanced_required_factors)(fac, profile)
     bounds = combine(k.genus4[0], k.signature, foxmilnor.gc_poly_lower_bound(req),
                      k.genus3, jump_enhanced=req.enhanced != req.residual)

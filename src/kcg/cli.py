@@ -3,7 +3,9 @@
 Subcommands: factor, invariants, bound, census, match.  Output is plain
 TSV/inline text and is byte-identical across runs on the same input.
 Exit codes: 0 success, 1 domain error (bad polynomial, inconsistent
-record, unknown knot) or stdout closed early, 2 usage error.
+record, unknown knot) or stdout closed early, 2 usage error.  Each
+command imports the layers it runs, so ``kcg factor`` loads no table or
+Seifert code.
 """
 
 from __future__ import annotations
@@ -12,14 +14,17 @@ import argparse
 import os
 import sys
 
-from .bounds import CATEGORIES, gc_bounds
 from .errors import KcgError
 from .laurent import factor, poly_from_text
-from .seifert import SeifertMatrix, alexander, signature_profile
-from .tabledata import KnotTable, census, match_candidates, read_table, report_tsv
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .tabledata import KnotTable
 
 
 def _read_table(path: str) -> KnotTable:
+    from .tabledata import read_table
+
     table = read_table(path)
     for bad in table.rejected:
         print(f"kcg: {path}:{bad.line}: {bad.reason}", file=sys.stderr)
@@ -45,6 +50,8 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
+    from .seifert import SeifertMatrix, alexander, signature_profile
+
     matrix = SeifertMatrix.from_text(args.seifert)
     profile = signature_profile(matrix)
     print(f"alexander\t{alexander(matrix).to_text()}")
@@ -55,6 +62,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from .bounds import gc_bounds
+
     rec = _find_record(_read_table(args.table), args.name)
     bound = gc_bounds(rec)
     print(f"{rec.name}\t{bound.lower}\t{bound.upper}\t{bound.status}"
@@ -63,6 +72,9 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from .bounds import CATEGORIES
+    from .tabledata import census, report_tsv
+
     table = _read_table(args.table)
     candidates = _read_table(args.candidates) if args.candidates else None
     report = census(table, candidates, max_summands=args.max_summands)
@@ -79,6 +91,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_match(args) -> int:
+    from .tabledata import match_candidates
+
     table = _read_table(args.table)
     candidates = _read_table(args.candidates)
     rec = _find_record(table, args.name)

@@ -17,7 +17,11 @@ from __future__ import annotations
 from ._record import Record
 from .errors import PolynomialError, ProfileError
 from .laurent import Factorization, LaurentPoly, factor, is_symmetric, reciprocal
-from .seifert import SignatureProfile, roots_in_brackets
+
+# ``seifert`` is imported only where a profile is given
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .seifert import SignatureProfile
 
 ODD_SYMMETRIC = "odd-multiplicity-symmetric"
 SIGNATURE_JUMP = "signature-jump"
@@ -78,7 +82,9 @@ def enhanced_required_factors(fac: Factorization,
     res = residual(fac)
     if profile is None:
         return RequiredFactors(res, res)
-    owns = {q: roots_in_brackets(q, profile.jump_brackets) for q, _ in fac.factors}
+    from . import seifert
+
+    owns = {q: seifert.roots_in_brackets(q, profile.jump_brackets) for q, _ in fac.factors}
     jumps = [b - a for a, b in zip(profile.values, profile.values[1:])]
     if any(jump and not any(o[i] for o in owns.values())
            for i, jump in enumerate(jumps)):

@@ -29,7 +29,6 @@ from .bounds import (CATEGORY_UNKNOWN, CATEGORIES, DETERMINED, GcBounds,
                      KnotRecord, analyze, signature_bound)
 from .errors import KcgError, RecordError, TableError
 from .laurent import LaurentPoly, poly_from_text
-from .seifert import SeifertMatrix
 
 SCHEMA = ("name", "crossings", "alexander", "signature", "genus3",
           "genus4_min", "genus4_max", "slice", "seifert", "concordant_to")
@@ -90,7 +89,11 @@ def _parse_row(fields) -> KnotRecord:
         raise TableError("four-genus interval must give both ends or neither")
     else:
         genus4 = (_parse_int(g4min, "genus4_min"), _parse_int(g4max, "genus4_max"))
-    matrix = SeifertMatrix.from_text(seifert_text) if seifert_text else None
+    matrix = None
+    if seifert_text:
+        from . import seifert
+
+        matrix = seifert.SeifertMatrix.from_text(seifert_text)
     summands = tuple(part.strip() for part in concordant.split("+") if part.strip())
     return KnotRecord(name=name, crossings=_parse_int(crossings, "crossings"),
                       alexander=delta, signature=signature, genus3=genus3,

@@ -20,13 +20,13 @@ UNKNOWN_CSV = str(PACKAGE / "data" / "unknown_11.csv")
 SMALL_CSV = str(PACKAGE / "data" / "knots_small.csv")
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# runs kcg.cli.main in a new interpreter, then reports on stderr whether
-# numpy got imported (the test process itself has numpy loaded already)
+# runs kcg.cli.main in a new interpreter, then lists on stderr the modules
+# it loaded (the test process itself has numpy and every kcg layer loaded)
 _RUN_MAIN = """\
 import sys
 from kcg.cli import main
 status = main(sys.argv[1:])
-print("numpy" in sys.modules, file=sys.stderr)
+print(*sorted(sys.modules), file=sys.stderr)
 sys.exit(status)
 """
 
@@ -38,12 +38,12 @@ def _env():
 
 
 def _run_fresh(argv):
-    """(exit code, stdout, stderr lines, numpy imported) of ``kcg argv``
-    in a new process."""
+    """(exit code, stdout, stderr lines, names of the loaded modules) of
+    ``kcg argv`` in a new process."""
     proc = subprocess.run([sys.executable, "-c", _RUN_MAIN, *argv], env=_env(),
                           capture_output=True, text=True, timeout=120, check=False)
     *err, loaded = proc.stderr.splitlines()
-    return proc.returncode, proc.stdout, err, loaded == "True"
+    return proc.returncode, proc.stdout, err, set(loaded.split())
 
 
 def _run_module(argv, timeout=120):
@@ -208,17 +208,27 @@ class TestImportCost:
          "--candidates", SMALL_CSV],
     ], ids=["factor", "bound", "census", "match"])
     def test_rows_without_a_matrix_never_import_numpy(self, argv):
-        status, out, _, numpy_loaded = _run_fresh(argv)
+        status, out, _, loaded = _run_fresh(argv)
         assert status == 0
         assert out
-        assert not numpy_loaded
+        assert "numpy" not in loaded
 
     def test_invariants_still_prints_the_readme_lines(self):
-        status, out, _, numpy_loaded = _run_fresh(["invariants", "--seifert=-1,1;0,-1"])
+        status, out, _, loaded = _run_fresh(["invariants", "--seifert=-1,1;0,-1"])
         assert status == 0
         assert out.splitlines() == _readme_output(
             'kcg invariants "--seifert=-1,1;0,-1"')
-        assert not numpy_loaded
+        assert "numpy" not in loaded
+
+
+def _layers(loaded):
+    """The kcg modules among ``loaded``, with csv and fractions: the
+    standard-library modules only the table and Seifert layers import."""
+    return {m for m in loaded if m.partition(".")[0] in ("kcg", "csv", "fractions")}
+
+
+# what every command loads: the package, which imports errors and laurent
+PACKAGE_MODULES = {"kcg", "kcg.errors", "kcg.laurent", "kcg._intpoly", "kcg._record"}
 
 
 class TestColdStart:
@@ -231,6 +241,26 @@ class TestColdStart:
         assert "kcg.cli" in loaded
         assert not loaded & {"dataclasses", "inspect", "importlib.resources",
                              "pathlib", "typing"}
+
+    def test_bare_import_loads_only_errors_and_laurent(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, kcg; print(*sorted(sys.modules))"],
+            env=_env(), capture_output=True, text=True, timeout=120, check=True)
+        assert _layers(proc.stdout.split()) == PACKAGE_MODULES
+
+    # each command loads only the layers it runs: factor no table or
+    # Seifert code, invariants no table code, and bound on a table without
+    # matrices no Seifert code
+    @pytest.mark.parametrize("argv, layers", [
+        (["factor", "--poly", "1;-1;1"], set()),
+        (["invariants", "--seifert=-1,1;0,-1"], {"kcg.seifert", "fractions"}),
+        (["bound", "--name", "11a_6", "--table", UNKNOWN_CSV],
+         {"kcg.bounds", "kcg.foxmilnor", "kcg.tabledata", "csv"}),
+    ], ids=["factor", "invariants", "bound"])
+    def test_command_loads_only_its_layers(self, argv, layers):
+        status, out, _, loaded = _run_fresh(argv)
+        assert status == 0 and out
+        assert _layers(loaded) == PACKAGE_MODULES | {"kcg.cli"} | layers
 
 
 class TestBoundCommand:

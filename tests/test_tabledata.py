@@ -1,5 +1,6 @@
 """Table parsing, the census, and the candidate matcher."""
 
+import csv
 import hashlib
 import itertools
 import os
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import kcg
 from kcg import laurent
-from kcg.bounds import CATEGORY_UNKNOWN, SLICE_STATUSES, KnotRecord
+from kcg.bounds import CATEGORY_UNKNOWN, FIELD_LIMIT, SLICE_STATUSES, KnotRecord
 from kcg.errors import KcgError, RecordError, TableError
 from kcg.laurent import factor, mul, poly_from_text
 from kcg.tabledata import (KnotTable, RejectedRow, census,
@@ -246,6 +247,8 @@ class TestParseFuzz:
     @example("4\r1")
     @example("#x")
     @example('a"b')
+    @example("x" * 131072)
+    @example("x" * 131073)
     def test_name_is_refused_or_round_trips(self, name):
         """As a name and as a concordant_to entry, a text is either refused
         by KnotRecord or read back unchanged from the serialized table."""
@@ -256,6 +259,16 @@ class TestParseFuzz:
                 assert str(exc) == f"bad name: {name!r}"
                 continue
             assert parse_table(serialize(KnotTable((rec,)))).records == (rec,)
+
+    def test_concordant_to_past_the_field_limit_is_refused(self):
+        """Entries that each fit are refused once their ``+``-joined field
+        would not: the CSV reader refuses fields past its size limit."""
+        assert FIELD_LIMIT == csv.field_size_limit()
+        parts = ("a" * (FIELD_LIMIT // 2), "b" * (FIELD_LIMIT // 2))
+        with pytest.raises(RecordError, match="^bad name: 'a"):
+            KnotRecord(**TREFOIL_FIELDS, name="k", concordant_to=parts)
+        rec = KnotRecord(**TREFOIL_FIELDS, name="k", concordant_to=(parts[0], parts[1][1:]))
+        assert parse_table(serialize(KnotTable((rec,)))).records == (rec,)
 
 
 class TestSerialize:

@@ -56,7 +56,9 @@ class KnotRecord(Record):
     an entry also holds no ``+``.  The name, and the entries joined with
     ``+``, are at most ``FIELD_LIMIT`` characters long.  So a name fits one
     CSV line, a field the CSV reader accepts, and a TSV cell.
-    ``alexander`` must be a knot polynomial (palindromic, |Delta(1)| = 1).
+    ``alexander`` must be a knot polynomial (palindromic, |Delta(1)| = 1),
+    and the one of ``seifert`` when a matrix is given: checked by
+    :meth:`SeifertMatrix.has_alexander`, which interpolates nothing.
     ``genus4`` is an interval [lo, hi]; when the table leaves it blank the
     parser fills in the always-valid default [signature_bound, genus3].
     """
@@ -95,12 +97,9 @@ class KnotRecord(Record):
         if self.alexander.degree > 2 * self.genus3:
             raise RecordError(
                 "inconsistent knot record: polynomial degree exceeds twice the genus")
-        if self.seifert is not None:
-            from . import seifert
-
-            if seifert.alexander(self.seifert) != self.alexander:
-                raise RecordError(
-                    "inconsistent knot record: Seifert matrix does not match the polynomial")
+        if self.seifert is not None and not self.seifert.has_alexander(self.alexander):
+            raise RecordError(
+                "inconsistent knot record: Seifert matrix does not match the polynomial")
 
 
 class GcBounds(Record):
@@ -150,12 +149,10 @@ class Analysis(Record):
     category: str
 
 
-def analyze(k: KnotRecord, factor, genus_of=None, required=None) -> Analysis:
+def analyze(k: KnotRecord, factor, genus_of=None) -> Analysis:
     """Interval and category of ``k``, computing the profile and residual
     once.  A slice record is [0, 0] unfactored; any other polynomial goes
-    to ``factor``, e.g. ``laurent.factor`` or a shared ``laurent.factorer()``.
-    ``required`` stands in for ``foxmilnor.enhanced_required_factors``,
-    e.g. a cache of it shared across records."""
+    to ``factor``, e.g. ``laurent.factor`` or a shared ``laurent.factorer()``."""
     if k.slice_status == SLICE:
         return Analysis(None, GcBounds(0, 0, (("slice", 0),), DETERMINED), CATEGORY_SLICE)
     fac = factor(k.alexander)
@@ -164,7 +161,7 @@ def analyze(k: KnotRecord, factor, genus_of=None, required=None) -> Analysis:
         from . import seifert
 
         profile = seifert.signature_profile(k.seifert)
-    req = (required or foxmilnor.enhanced_required_factors)(fac, profile)
+    req = foxmilnor.enhanced_required_factors(fac, profile)
     bounds = combine(k.genus4[0], k.signature, foxmilnor.gc_poly_lower_bound(req),
                      k.genus3, jump_enhanced=req.enhanced != req.residual)
     return Analysis(req, bounds, _polynomial_category(k, fac, req.residual)

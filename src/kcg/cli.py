@@ -96,9 +96,12 @@ def _cmd_match(args) -> int:
     table = _read_table(args.table)
     candidates = _read_table(args.candidates)
     rec = _find_record(table, args.name)
-    for m in match_candidates(rec, candidates, args.max_summands):
-        print(f"{m.expression}\t{m.combined_genus3}\t{m.combined_crossings}"
-              f"\t{m.combined_alexander.to_text()}")
+    # every line is formatted before any is printed, so a refusal prints none
+    lines = [f"{m.expression}\t{m.combined_genus3}\t{m.combined_crossings}"
+             f"\t{m.combined_alexander.to_text()}"
+             for m in match_candidates(rec, candidates, args.max_summands)]
+    for line in lines:
+        print(line)
     return 0
 
 

@@ -46,7 +46,12 @@ class LaurentPoly(Record):
         return len(self.coeffs) - 1
 
     def to_text(self) -> str:
-        return ";".join(str(c) for c in self.coeffs)
+        """The semicolon encoding; a coefficient past the interpreter's
+        integer string limit (4300 digits by default) is refused."""
+        try:
+            return ";".join(str(c) for c in self.coeffs)
+        except ValueError as exc:
+            raise PolynomialError("coefficient too long to write as text") from exc
 
     def __str__(self) -> str:
         return self.to_text()
@@ -201,14 +206,15 @@ def factorer():
 
     Each distinct input is factored once.  Before :func:`factor` sees an
     input, every irreducible found so far in the batch, and the reciprocal
-    of each, is divided out of it as often as it divides exactly (a
-    divisor's value at 2 must divide the input's, which skips most
-    trials); only a cofactor other than 1 reaches :func:`factor`, so each
-    irreducible is found by Zassenhaus at most once per batch.  By Gauss's
-    lemma and unique factorization in Z[t], a primitive irreducible that
-    divides the input exactly is one of its factors, repeated exact
-    division gives its multiplicity, and the quotient stays canonical: the
-    result equals ``factor(p)``.  ``FACTOR_DEGREE_CAP`` is checked on the
+    of each, is divided out of it as often as it divides exactly (q | p
+    in Z[t] gives q(a) | p(a), so a divisor's values at 2 and 3 must
+    divide the input's, which skips most trials); only a cofactor other
+    than 1 reaches :func:`factor`, so each irreducible is found by
+    Zassenhaus at most once per batch.  By Gauss's lemma and unique
+    factorization in Z[t], a primitive irreducible that divides the input
+    exactly is one of its factors, repeated exact division gives its
+    multiplicity, and the quotient stays canonical: the result equals
+    ``factor(p)``.  ``FACTOR_DEGREE_CAP`` is checked on the
     whole input, so a refusal for degree does not depend on the inputs
     before it; dividing out reciprocals in pairs keeps a palindromic input's
     cofactor palindromic, so the cofactor passes the cap whenever the
@@ -216,7 +222,7 @@ def factorer():
     cofactor: an input whose cofactor fits within it is factored exactly
     even where ``factor(p)`` alone would refuse.
     """
-    known: dict[LaurentPoly, int] = {}  # irreducible -> its value at 2
+    known: dict[LaurentPoly, tuple[int, int]] = {}  # irreducible -> its values at 2, 3
     done: dict[LaurentPoly, Factorization] = {}
 
     def factored(p: LaurentPoly) -> Factorization:
@@ -227,11 +233,11 @@ def factorer():
         if _intpoly.degree(rest if trace is None else trace) > _intpoly.FACTOR_DEGREE_CAP:
             raise PolynomialError("degree limit exceeded")
         table: dict[LaurentPoly, int] = {}
-        at2 = _intpoly.eval_at(rest, 2)
-        for q, q_at2 in known.items():
-            while (not (q_at2 and at2 % q_at2)
+        at2, at3 = _intpoly.eval_at(rest, 2), _intpoly.eval_at(rest, 3)
+        for q, (q_at2, q_at3) in known.items():
+            while (not (q_at2 and at2 % q_at2 or q_at3 and at3 % q_at3)
                    and (quo := _intpoly.try_div(rest, q.coeffs)) is not None):
-                rest, at2 = quo, _intpoly.eval_at(quo, 2)
+                rest, at2, at3 = quo, _intpoly.eval_at(quo, 2), _intpoly.eval_at(quo, 3)
                 table[q] = table.get(q, 0) + 1
         cofactor = LaurentPoly(tuple(rest))
         if cofactor != ONE:
@@ -241,7 +247,7 @@ def factorer():
                 table[q] = m
                 if q.degree >= 1:
                     for r in (q, reciprocal(q)):
-                        known.setdefault(r, eval_int(r, 2))
+                        known.setdefault(r, (eval_int(r, 2), eval_int(r, 3)))
         result = Factorization(_sorted_factors(table))
         if result.expand() != p:
             raise AssertionError("factorization failed to reproduce the input")

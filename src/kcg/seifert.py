@@ -3,7 +3,11 @@ Murasugi signature, and the Levine-Tristram signature function on the
 upper unit semicircle together with its jump structure.
 
 Every decision is exact.  The knot polynomial comes from integer determinants
-at interpolation nodes, once per matrix: the matrix keeps it.  At
+at interpolation nodes, once per matrix: the matrix keeps the node values,
+and the polynomial once it is interpolated from them.  Checking a matrix
+against a given polynomial compares values at the nodes and interpolates
+nothing, so ``fractions`` loads only when a polynomial or a profile is
+built.  At
 u = tan(theta/2) = p/q the Levine-Tristram form is a positive multiple of
 the integer Hermitian p(V+V^T) - iq(V-V^T), whose signature comes from
 fraction-free elimination over the Gaussian integers (p/q = 1/0: Murasugi).
@@ -21,13 +25,17 @@ its angles are read off the brackets.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 
 from . import _intpoly
 from ._record import Record
 from .errors import PolynomialError, ProfileError, SeifertError
 from .laurent import LaurentPoly, canonicalize
+
+# ``fractions`` is imported only where a polynomial or a profile is built
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class SeifertMatrix(Record):
@@ -68,16 +76,39 @@ class SeifertMatrix(Record):
     def to_text(self) -> str:
         return ";".join(",".join(str(x) for x in row) for row in self.entries)
 
+    @property
+    def _nodes(self) -> range:
+        """The size+1 interpolation nodes x = -n/2, ..., n/2 (n is even)."""
+        return range(-(self.size // 2), self.size // 2 + 1)
+
+    @cached_property
+    def _node_values(self) -> tuple[int, ...]:
+        """det(V - x V^T) at each of ``_nodes``, in order; the nodes are not
+        stored, which keeps a matrix that holds its values small."""
+        n, e = self.size, self.entries
+        return tuple(_det_int([[e[i][j] - x * e[j][i] for j in range(n)] for i in range(n)])
+                     for x in self._nodes)
+
     @cached_property
     def _alexander(self) -> LaurentPoly:
         """det(V - t V^T) on first use; ``alexander`` is the public name."""
-        n = self.size
-        points = []
-        for x in range(-(n // 2), n // 2 + 1):  # n is even
-            m = [[self.entries[i][j] - x * self.entries[j][i] for j in range(n)]
-                 for i in range(n)]
-            points.append((x, _det_int(m)))
-        return canonicalize(_interpolate_int(points))
+        return canonicalize(_interpolate_int(tuple(zip(self._nodes, self._node_values))))
+
+    def has_alexander(self, delta: LaurentPoly) -> bool:
+        """Whether ``alexander(self) == delta``, from the node values alone.
+
+        det(V - t V^T) has degree at most n and is palindromic of width n
+        with value 1 at t = 1, so its canonical form has degree d = n - 2s
+        and it equals Delta(1) t^s Delta(t) exactly when its canonical form
+        is Delta.  Both sides have degree at most n, so agreeing at the n+1
+        nodes is agreeing everywhere.  An odd n - d, or d > n, fails.
+        """
+        n, d = self.size, delta.degree
+        if (n - d) % 2 or d > n:
+            return False
+        unit, s = sum(delta.coeffs), (n - d) // 2
+        return all(y == unit * x ** s * _intpoly.eval_at(delta.coeffs, x)
+                   for x, y in zip(self._nodes, self._node_values))
 
 
 class SignatureProfile(Record):
@@ -143,6 +174,8 @@ def _det_int(rows) -> int:
 
 def _interpolate_int(points) -> list[int]:
     """Integer coefficients of the polynomial through (x, y) points."""
+    from fractions import Fraction
+
     n = len(points)
     acc = [Fraction(0)] * n
     for xi, yi in points:
@@ -250,6 +283,8 @@ def _root_brackets(p: LaurentPoly) -> list[tuple[Fraction, Fraction]]:
     arithmetic.  The ends become Fractions only in the returned list.
     A p without a trace polynomial is refused.
     """
+    from fractions import Fraction
+
     d = _circle_trace(p)
     if d is None:
         raise PolynomialError(f"no trace polynomial: {p.to_text()} is not "
@@ -316,7 +351,9 @@ def alexander(V: SeifertMatrix) -> LaurentPoly:
     Computed exactly by evaluating the determinant at size+1 integer
     nodes and interpolating; the value at t = 1 is det(V - V^T) = 1, so
     a constructed matrix can never fail the knot-polynomial check.  The
-    matrix keeps the result, so each matrix is interpolated once.
+    matrix keeps the node values and the result, so each matrix is
+    evaluated and interpolated once, and
+    :meth:`SeifertMatrix.has_alexander` shares the evaluations.
     """
     return V._alexander
 

@@ -23,7 +23,7 @@ import operator
 import os
 from itertools import combinations_with_replacement
 
-from . import foxmilnor, laurent
+from . import laurent
 from ._record import Record
 from .bounds import (CATEGORY_UNKNOWN, CATEGORIES, DETERMINED, GcBounds,
                      KnotRecord, analyze, signature_bound)
@@ -75,12 +75,16 @@ def _split(line: str) -> list[str]:
         raise TableError(str(exc)) from exc
 
 
-def _parse_row(fields) -> KnotRecord:
+def _parse_row(fields, polys: dict) -> KnotRecord:
+    """The record of one row; ``polys`` maps each ``alexander`` text parsed
+    so far to its polynomial."""
     if len(fields) != len(SCHEMA):
         raise TableError(f"expected {len(SCHEMA)} fields, got {len(fields)}")
     (name, crossings, alex, sig, g3, g4min, g4max,
      slice_status, seifert_text, concordant) = (f.strip() for f in fields)
-    delta = poly_from_text(alex)
+    delta = polys.get(alex)
+    if delta is None:
+        delta = polys[alex] = poly_from_text(alex)
     signature = _parse_int(sig, "signature")
     genus3 = _parse_int(g3, "genus3")
     if g4min == "" and g4max == "":
@@ -95,10 +99,8 @@ def _parse_row(fields) -> KnotRecord:
 
         matrix = seifert.SeifertMatrix.from_text(seifert_text)
     summands = tuple(part.strip() for part in concordant.split("+") if part.strip())
-    return KnotRecord(name=name, crossings=_parse_int(crossings, "crossings"),
-                      alexander=delta, signature=signature, genus3=genus3,
-                      genus4=genus4, slice_status=slice_status,
-                      seifert=matrix, concordant_to=summands)
+    return KnotRecord(name, _parse_int(crossings, "crossings"), delta, signature,
+                      genus3, genus4, slice_status, matrix, summands)
 
 
 def parse_table(text, source_path: str = "<stream>") -> KnotTable:
@@ -109,7 +111,8 @@ def parse_table(text, source_path: str = "<stream>") -> KnotTable:
     other CR.  A malformed header is fatal ("bad schema"); bad rows are
     collected on ``KnotTable.rejected`` with line numbers, and the parse
     only fails, naming the first of them, when every row is bad.  A table
-    without rows parses to no records and no rejected rows.
+    without rows parses to no records and no rejected rows.  Each distinct
+    ``alexander`` text is parsed once per call.
     """
     if hasattr(text, "read"):
         text = text.read()
@@ -124,9 +127,10 @@ def parse_table(text, source_path: str = "<stream>") -> KnotTable:
     records: list[KnotRecord] = []
     rejected: list[RejectedRow] = []
     names: set[str] = set()
+    polys: dict[str, LaurentPoly] = {}
     for lineno, line in lines[1:]:
         try:
-            rec = _parse_row(_split(line))
+            rec = _parse_row(_split(line), polys)
         except KcgError as exc:
             rejected.append(RejectedRow(lineno, str(exc)))
             continue
@@ -154,7 +158,9 @@ def read_table(path: str) -> KnotTable:
 
 
 def serialize(table: KnotTable) -> str:
-    """CSV text, one line per record: parse_table(serialize(t)) recovers t.records."""
+    """CSV text, one line per record: parse_table(serialize(t)) recovers
+    t.records.  A coefficient too long to write as text is refused with
+    :class:`PolynomialError` (see :meth:`LaurentPoly.to_text`)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SCHEMA)
@@ -307,12 +313,13 @@ def census(table: KnotTable, candidates: KnotTable | None = None,
     table is read underneath only when a ``concordant_to`` name is in
     neither.  When a candidate table is supplied, rows that end up
     unclassified also get their matcher output, from one sweep that forms
-    each pool sum once and tests it against all of them.  Each record is
-    analyzed once, no polynomial is factored twice, each irreducible is
-    found by Zassenhaus at most once per call (the table and the pool
-    share one :func:`laurent.factorer`, which divides out the irreducibles
-    it has found before factoring what is left), and the Fox-Milnor split
-    runs once per distinct factorization and profile.
+    each pool sum once and tests it against all of them.  Rows that agree
+    on every value the analysis reads (all but the name and the crossing
+    number) are analyzed, and matched, once; no polynomial is factored
+    twice, and each irreducible is found by Zassenhaus at most once per
+    call (the table and the pool share one :func:`laurent.factorer`,
+    which divides out the irreducibles it has found before factoring what
+    is left).
     """
     genus_of = {rec.name: rec.genus3 for source in (candidates, table)
                 if source is not None for rec in source.records}
@@ -320,22 +327,26 @@ def census(table: KnotTable, candidates: KnotTable | None = None,
         genus_of = {rec.name: rec.genus3 for rec in reference_table().records} | genus_of
     # for this call only
     factored = laurent.factorer()
-    required = functools.cache(foxmilnor.enhanced_required_factors)
     counts = {category: 0 for category in CATEGORIES}
-    analyses, queries, pool = [], {}, None
-    for i, rec in enumerate(table.records):
-        analysis = analyze(rec, factored, genus_of, required)
+    analyses, queries, keys, pool = {}, {}, [], None
+    for rec in table.records:
+        key = (rec.alexander, rec.signature, rec.genus3, rec.genus4,
+               rec.slice_status, rec.seifert, rec.concordant_to)
+        analysis = analyses.get(key)
+        if analysis is None:
+            analysis = analyses[key] = analyze(rec, factored, genus_of)
+            if candidates is not None and analysis.category == CATEGORY_UNKNOWN:
+                pool = pool or _pool(candidates, factored)
+                queries[key] = (rec, analysis.required.enhanced)
         counts[analysis.category] += 1
-        analyses.append(analysis)
-        if candidates is not None and analysis.category == CATEGORY_UNKNOWN:
-            pool = pool or _pool(candidates, factored)
-            queries[i] = (rec, analysis.required.enhanced)
+        keys.append(key)
     found = {}
     if queries:
-        found = dict(zip(queries, _sweep(list(queries.values()), pool, max_summands)))
-    rows = tuple(CensusRow(rec.name, a.bounds, a.category,
-                           tuple(expression for _, _, expression, _ in found.get(i, ())))
-                 for i, (rec, a) in enumerate(zip(table.records, analyses)))
+        found = {key: tuple(expression for _, _, expression, _ in out) for key, out
+                 in zip(queries, _sweep(list(queries.values()), pool, max_summands))}
+    rows = tuple(CensusRow(rec.name, analyses[key].bounds, analyses[key].category,
+                           found.get(key, ()))
+                 for rec, key in zip(table.records, keys))
     return CensusReport(counts=counts, total=len(rows), rows=rows)
 
 

@@ -172,17 +172,27 @@ class TestGcBounds:
 
     def test_knot_polynomial_interpolated_once_per_matrix(self, monkeypatch):
         # validating the record and building its signature profile share
-        # one det(V - t V^T)
-        calls = []
-        interpolate = seifert._interpolate_int
+        # one set of determinants det(V - x V^T); validation interpolates
+        # nothing, and each profiled matrix is interpolated once
+        dets, interpolations = [], []
+        det, interpolate = seifert._det_int, seifert._interpolate_int
+        monkeypatch.setattr(seifert, "_det_int",
+                            lambda rows: dets.append(1) or det(rows))
         monkeypatch.setattr(seifert, "_interpolate_int",
-                            lambda points: calls.append(1) or interpolate(points))
+                            lambda points: interpolations.append(1) or interpolate(points))
         text = resources.files("kcg").joinpath("data", "knots_small.csv").read_text("utf-8")
         records = [r for r in parse_table(text).records if r.seifert is not None]
+        assert len(records) == 8
+        # per matrix, det(V - V^T) in the constructor and size + 1 nodes
+        determinants = sum(r.seifert.size + 2 for r in records)
+        assert len(dets) == determinants
+        assert interpolations == []
         for rec in records:
             gc_bounds(rec)
-        assert len(records) == 8
-        assert len(calls) == len(records)
+        assert len(dets) == determinants
+        # the slice row is [0, 0] without a profile
+        assert sum(r.slice_status != "slice" for r in records) == 7
+        assert len(interpolations) == 7
 
 
 class TestClassify:

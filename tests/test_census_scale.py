@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from kcg import foxmilnor, laurent, tabledata
+from kcg import _intpoly, bounds, foxmilnor, laurent, tabledata
 from kcg.bounds import KnotRecord
 from kcg.laurent import Factorization, factor, mul, poly_from_text
 from kcg.tabledata import (KnotTable, _load_bundled, census,
@@ -180,14 +180,66 @@ def test_census_forms_each_pool_sum_once(make_table, max_summands, products):
                   lambda: census(table, reference_table(), max_summands)) == products
 
 
-@pytest.mark.parametrize("candidates", [None, reference_table()],
-                         ids=["alone", "with-candidates"])
-def test_census_splits_each_factorization_once(candidates):
-    # 522 non-slice rows share 121 distinct factorizations, none with a
-    # Seifert matrix
+def _analysis_key(rec):
+    """Every record value the analysis reads: all but name and crossings."""
+    return (rec.alexander, rec.signature, rec.genus3, rec.genus4,
+            rec.slice_status, rec.seifert, rec.concordant_to)
+
+
+@pytest.mark.parametrize("candidates, digest", [
+    (None, "606f0fffbe2b8862"), (reference_table(), "caf54d4c64a5c77b")],
+    ids=["alone", "with-candidates"])
+def test_census_analyzes_each_distinct_row_once(candidates, digest, monkeypatch):
+    # the 552 rows hold 126 distinct analysis inputs, one of them slice;
+    # the 125 others share 121 distinct polynomials, none with a Seifert
+    # matrix, and each is split into its Fox-Milnor factors once
     table = _full_table()
-    assert _calls(foxmilnor.enhanced_required_factors.__code__,
-                  lambda: census(table, candidates)) == 121
+    analyzed = collections.Counter()
+
+    def analyze(rec, *args):
+        analyzed[_analysis_key(rec)] += 1
+        return bounds.analyze(rec, *args)
+
+    monkeypatch.setattr(tabledata, "analyze", analyze)
+    reports = []
+    splits = _calls(foxmilnor.enhanced_required_factors.__code__,
+                    lambda: reports.append(census(table, candidates)))
+    assert set(analyzed) == {_analysis_key(rec) for rec in table.records}
+    assert len(analyzed) == 126 and set(analyzed.values()) == {1}
+    assert splits == 125
+    text = report_tsv(reports[0])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    # each row gets the bounds and category of its own analysis
+    genus_of = {rec.name: rec.genus3 for rec in reference_table().records}
+    genus_of |= {rec.name: rec.genus3 for rec in table.records}
+    for rec, row in zip(table.records, reports[0].rows):
+        alone = bounds.analyze(rec, factor, genus_of)
+        assert (row.name, row.bounds, row.category) == (rec.name, alone.bounds, alone.category)
+
+
+@pytest.mark.parametrize("candidates, divisions", [
+    (None, (248, 191)), (reference_table(), (248, 193))],
+    ids=["alone", "with-candidates"])
+def test_census_trial_divisions_are_sieved(candidates, divisions):
+    # (successful, failed) trial divisions of known irreducibles in the
+    # census's factorer: a divisor's values at 2 and 3 must divide the
+    # dividend's, which skips all but about a third of the failures that
+    # the value at 2 alone lets through (639 and 644)
+    code = _intpoly.try_div.__code__
+    done = collections.Counter()
+
+    def profile(frame, event, arg):
+        if (event == "return" and frame.f_code is code
+                and frame.f_back.f_code.co_name == "factored"):
+            done[arg is None] += 1
+
+    table = _full_table()
+    sys.setprofile(profile)
+    try:
+        census(table, candidates)
+    finally:
+        sys.setprofile(None)
+    assert (done[False], done[True]) == divisions
 
 
 class TestGenusLookup:

@@ -250,13 +250,19 @@ class TestColdStart:
 
     # each command loads only the layers it runs: factor no table or
     # Seifert code, invariants no table code, and bound on a table without
-    # matrices no Seifert code
+    # matrices no Seifert code; census and match read the matrices of the
+    # candidate table, whose check interpolates nothing, and profile none
+    # of them, so they load no fractions
     @pytest.mark.parametrize("argv, layers", [
         (["factor", "--poly", "1;-1;1"], set()),
         (["invariants", "--seifert=-1,1;0,-1"], {"kcg.seifert", "fractions"}),
         (["bound", "--name", "11a_6", "--table", UNKNOWN_CSV],
          {"kcg.bounds", "kcg.foxmilnor", "kcg.tabledata", "csv"}),
-    ], ids=["factor", "invariants", "bound"])
+        (["census", "--table", UNKNOWN_CSV, "--candidates", SMALL_CSV],
+         {"kcg.bounds", "kcg.foxmilnor", "kcg.tabledata", "kcg.seifert", "csv"}),
+        (["match", "--name", "11n_152", "--table", UNKNOWN_CSV, "--candidates", SMALL_CSV],
+         {"kcg.bounds", "kcg.foxmilnor", "kcg.tabledata", "kcg.seifert", "csv"}),
+    ], ids=["factor", "invariants", "bound", "census", "match"])
     def test_command_loads_only_its_layers(self, argv, layers):
         status, out, _, loaded = _run_fresh(argv)
         assert status == 0 and out
@@ -410,6 +416,23 @@ class TestMatchCommand:
         assert code == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0].split("\t") == ["3_1", "1", "3", "1;-1;1"]
+
+    def test_product_past_the_string_limit_is_one_line(self, tmp_path):
+        # h has coefficients of 2201 digits, h+h of 4401: more than int ->
+        # str converts, so the match is refused before any line is printed
+        a = 10 ** 2200
+        header = ",".join(SCHEMA) + "\n"
+        pool, table = tmp_path / "pool.csv", tmp_path / "query.csv"
+        pool.write_text(header + f"h,3,{a};{1 - 2 * a};{a},0,1,0,1,unknown,,\n",
+                        encoding="utf-8")
+        table.write_text(header + "k,11,1;-6;11;-6;1,0,3,,,unknown,,\n", encoding="utf-8")
+        proc = _run_module(["match", "--name", "k", "--table", str(table),
+                            "--candidates", str(pool), "--max-summands", "2"])
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "kcg: coefficient too long to write as text\n"
+        one = _run_module(["match", "--name", "k", "--table", str(table),
+                           "--candidates", str(pool), "--max-summands", "1"])
+        assert one.returncode == 0 and one.stdout.startswith("h\t1\t3\t")
 
 
 class TestUsageErrors:

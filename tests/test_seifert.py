@@ -16,8 +16,9 @@ from kcg.laurent import ONE, canonicalize, eval_int, is_symmetric, poly_from_tex
 from kcg.seifert import (SeifertMatrix, SignatureProfile, _root_brackets, alexander,
                          murasugi_signature, roots_in_brackets,
                          signature_profile, unit_circle_root_angles)
-from oracles import (conv_mul, cyclotomic, eig_signature, exact_lt_signature,
-                     family_seifert, random_seifert, rational_in_arc)
+from oracles import (SYMMETRIC_POOL, block_sum, conv_mul, cyclotomic, eig_signature,
+                     exact_lt_signature, family_seifert, mirror, random_seifert,
+                     rational_in_arc, torus_alexander, torus_seifert)
 
 TREFOIL = SeifertMatrix(((-1, 1), (0, -1)))
 FIGURE_EIGHT = SeifertMatrix(((1, 1), (0, -1)))
@@ -81,6 +82,61 @@ class TestAlexander:
     def test_band_matrix(self):
         v = SeifertMatrix.from_text("-1,1,0,0;0,-1,1,0;0,0,-1,1;0,0,0,-1")
         assert alexander(v) == poly_from_text("1;-1;1;-1;1")
+
+
+STABILIZED = SeifertMatrix(((0, 1), (0, 0)))  # the unknot of genus 1
+
+
+class TestHasAlexander:
+    """``has_alexander`` against independent oracles and against
+    ``alexander``; each check runs on a new matrix, so no polynomial is
+    cached from an earlier call."""
+
+    @pytest.mark.parametrize("knots, unknots", [
+        ([(2, 3, 1)], 0), ([(2, 5, 1)], 0), ([(3, 4, 1)], 0), ([(2, 7, 1)], 0),
+        ([(3, 5, 1)], 0), ([(2, 3, 1), (2, 3, 1)], 0), ([(2, 3, 1), (3, 4, 1)], 0),
+        ([(2, 3, 1), (2, 5, -1)], 0), ([(2, 3, 1)], 1), ([(2, 5, -1)], 2),
+    ])
+    def test_torus_sums_against_the_cyclotomic_oracle(self, knots, unknots):
+        # T(p, q), sign 1, and mirrors of T(p, q), sign -1, summed with
+        # genus-1 unknot blocks, which widen the determinant around the
+        # polynomial
+        entries = block_sum(
+            *(torus_seifert(p, q) if sign > 0 else mirror(torus_seifert(p, q))
+              for p, q, sign in knots), *[STABILIZED] * unknots).entries
+        delta = functools.reduce(conv_mul, (torus_alexander(p, q) for p, q, _ in knots))
+        assert SeifertMatrix(entries).has_alexander(canonicalize(delta))
+        v = SeifertMatrix(entries)
+        for wrong in (conv_mul(delta, [1, -1, 1]), [2 * c for c in delta],
+                      [c + (i == len(delta) // 2) for i, c in enumerate(delta)],
+                      delta[1:-1] or [1, -1, 1]):
+            assert not v.has_alexander(canonicalize(wrong))
+        assert "_alexander" not in vars(v)
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(seed=st.integers(0, 10 ** 6), size=st.sampled_from((2, 4, 6)),
+           change=st.sampled_from(("none", "coefficient", "times", "cut", "pad")),
+           at=st.integers(0, 10), by=st.integers(-3, 3))
+    def test_agrees_with_alexander(self, seed, size, change, at, by):
+        entries = random_seifert(random.Random(seed), size).entries
+        cs = list(alexander(SeifertMatrix(entries)).coeffs)
+        if change == "coefficient":
+            # a palindromic change of one coefficient pair
+            k = at % len(cs)
+            cs[k] += by
+            cs[-1 - k] += by * (k != len(cs) - 1 - k)
+        elif change == "times":
+            cs = conv_mul(cs, list(SYMMETRIC_POOL[at % len(SYMMETRIC_POOL)].coeffs))
+        elif change == "cut":
+            cs = cs[1:-1]
+        elif change == "pad":
+            cs = [by] + cs + [by]
+        try:
+            delta = canonicalize(cs)
+        except PolynomialError:
+            return
+        assert (SeifertMatrix(entries).has_alexander(delta)
+                == (alexander(SeifertMatrix(entries)) == delta))
 
 
 class TestMurasugiSignature:

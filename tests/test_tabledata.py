@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import kcg
 from kcg import laurent
 from kcg.bounds import CATEGORY_UNKNOWN, FIELD_LIMIT, SLICE_STATUSES, KnotRecord
-from kcg.errors import KcgError, RecordError, TableError
+from kcg.errors import KcgError, PolynomialError, RecordError, TableError
 from kcg.laurent import factor, mul, poly_from_text
 from kcg.tabledata import (KnotTable, RejectedRow, census,
                            concordant_fixture, match_candidates, parse_table,
@@ -282,6 +282,15 @@ class TestSerialize:
     def test_round_trip_twice_is_stable(self):
         text = serialize(reference_table())
         assert serialize(parse_table(text)) == text
+
+    def test_coefficient_past_the_string_limit_is_refused(self):
+        # (a, 1 - 2a, a) is a knot polynomial, so the record is valid, but
+        # its coefficients have more digits than int -> str converts
+        a = 10 ** 5000
+        rec = KnotRecord(name="big", **dict(TREFOIL_FIELDS, signature=0, genus4=(0, 1),
+                                            alexander=laurent.LaurentPoly((a, 1 - 2 * a, a))))
+        with pytest.raises(PolynomialError, match="^coefficient too long to write as text$"):
+            serialize(KnotTable((rec,)))
 
 
 class TestCensus:

@@ -33,18 +33,11 @@ _LAZY = {name: layer for layer, names in (
 ) for name in names}
 _LAYERS = frozenset(_LAZY.values())
 
-__all__ = [
-    "CATEGORIES", "CandidateMatch", "CensusReport", "Factorization",
-    "GcBounds", "KcgError", "KnotRecord", "KnotTable", "LaurentPoly",
-    "RequiredFactors", "SeifertMatrix", "SignatureProfile", "alexander",
-    "canonicalize", "census", "classify", "combine",
-    "enhanced_required_factors", "eval_int", "factor", "gc_bounds",
-    "gc_poly_lower_bound", "is_symmetric", "match_candidates",
-    "mul", "murasugi_signature", "parse_table", "poly_from_text",
-    "reciprocal", "reference_table", "report_tsv",
-    "residual", "serialize", "signature_profile", "slice_obstruction",
-    "unit_circle_root_angles",
-]
+# the eager names are those the imports above bind, less the submodules
+# they bind as a side effect
+__all__ = sorted([*(name for name, value in globals().items()
+                    if not name.startswith("_") and not isinstance(value, type(errors))),
+                  *_LAZY])
 
 __version__ = "0.1.0"
 
@@ -52,12 +45,13 @@ __version__ = "0.1.0"
 def __getattr__(name):
     """Load a layer, or the layer behind a lazy name, on first access; the
     name then stays bound here."""
-    import importlib
-
     layer = name if name in _LAYERS else _LAZY.get(name)
     if layer is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{layer}", __name__)
+    # an import statement's import, unlike importlib.import_module, gets its
+    # line in ``python -X importtime``; it binds the layer here
+    __import__(f"{__name__}.{layer}")
+    module = globals()[layer]
     if layer == name:
         return module
     value = globals()[name] = getattr(module, name)

@@ -5,20 +5,24 @@ TSV/inline text and is byte-identical across runs on the same input.
 Exit codes: 0 success, 1 domain error (bad polynomial, inconsistent
 record, unknown knot) or stdout closed early, 2 usage error.  Each
 command imports the layers it runs, so ``kcg factor`` loads no table or
-Seifert code.
+Seifert code.  A well-formed command line is parsed from ``_COMMANDS``
+without argparse; argparse, built from the same table, parses any other
+and prints help and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import KcgError
 from .laurent import factor, poly_from_text
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    import argparse
+
     from .tabledata import KnotTable
 
 
@@ -105,53 +109,99 @@ def _cmd_match(args) -> int:
     return 0
 
 
+# each subcommand: its handler, its help, and its options as (flag, type,
+# required, default, help); the argparse parser and the direct parser both
+# read this table, and each option's dest is its flag as argparse derives it
+_COMMANDS = {
+    "factor": (_cmd_factor, "factor a polynomial over the integers", (
+        ("--poly", str, True, None, "semicolon coefficient encoding, e.g. 1;-1;1"),
+    )),
+    "invariants": (_cmd_invariants, "polynomial, signature and jumps of a Seifert matrix", (
+        ("--seifert", str, True, None, "row encoding, e.g. -1,1;0,-1"),
+    )),
+    "bound": (_cmd_bound, "concordance-genus interval for one knot", (
+        ("--name", str, True, None, None),
+        ("--table", str, True, None, None),
+    )),
+    "census": (_cmd_census, "classify every knot in a table", (
+        ("--table", str, True, None, None),
+        ("--report", str, False, None, "write the per-knot TSV report here"),
+        ("--candidates", str, False, None, "candidate table for unknown rows"),
+        ("--max-summands", int, False, 2, None),
+    )),
+    "match": (_cmd_match, "candidate concordances for one knot", (
+        ("--name", str, True, None, None),
+        ("--table", str, True, None, None),
+        ("--candidates", str, True, None, None),
+        ("--max-summands", int, False, 2, None),
+    )),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="kcg",
         description="Concordance-genus bounds and census tools for knot tables.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("factor", help="factor a polynomial over the integers")
-    p.add_argument("--poly", required=True,
-                   help="semicolon coefficient encoding, e.g. 1;-1;1")
-    p.set_defaults(func=_cmd_factor)
-
-    p = sub.add_parser("invariants",
-                       help="polynomial, signature and jumps of a Seifert matrix")
-    p.add_argument("--seifert", required=True,
-                   help="row encoding, e.g. -1,1;0,-1")
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("bound", help="concordance-genus interval for one knot")
-    p.add_argument("--name", required=True)
-    p.add_argument("--table", required=True)
-    p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("census", help="classify every knot in a table")
-    p.add_argument("--table", required=True)
-    p.add_argument("--report", help="write the per-knot TSV report here")
-    p.add_argument("--candidates", help="candidate table for unknown rows")
-    p.add_argument("--max-summands", type=int, default=2)
-    p.set_defaults(func=_cmd_census)
-
-    p = sub.add_parser("match", help="candidate concordances for one knot")
-    p.add_argument("--name", required=True)
-    p.add_argument("--table", required=True)
-    p.add_argument("--candidates", required=True)
-    p.add_argument("--max-summands", type=int, default=2)
-    p.set_defaults(func=_cmd_match)
+    for command, (func, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, kind, required, default, option_help in options:
+            p.add_argument(flag, type=kind, required=required, default=default,
+                           help=option_help)
+        p.set_defaults(func=func)
     return parser
 
 
+def _parse_direct(argv):
+    """The namespace argparse gives a well-formed ``argv``, or None.
+
+    Well-formed is an exact subcommand, then each of its options at most
+    once, exactly spelled, as ``--opt=value`` (any value but ``--``, which
+    argparse releases read differently) or ``--opt value`` (a value not
+    starting with ``-``), with every required option present and every
+    int value taken by ``int``.  Whatever else argparse accepts, refuses
+    or explains is left to it.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, options = _COMMANDS[argv[0]]
+    kinds = {flag: kind for flag, kind, *_ in options}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if eq:
+            if value == "--":
+                return None
+        else:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        if flag not in kinds or flag in given:
+            return None
+        try:
+            given[flag] = kinds[flag](value)
+        except ValueError:
+            return None
+    values = {}
+    for flag, _, required, default, _ in options:
+        if required and flag not in given:
+            return None
+        values[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return SimpleNamespace(command=argv[0], func=func, **values)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_direct(argv) or _build_parser().parse_args(argv)
     # argparse drops an option value that is exactly "--" (``--poly=--``)
     # and stores an empty list instead
     if [] in vars(args).values():
-        parser.error("an option expected one argument")
+        _build_parser().error("an option expected one argument")
     if getattr(args, "max_summands", 1) < 1:
-        parser.error(f"--max-summands must be at least 1: {args.max_summands}")
+        _build_parser().error(f"--max-summands must be at least 1: {args.max_summands}")
     try:
         status = args.func(args)
         sys.stdout.flush()

@@ -1,16 +1,21 @@
 """Command-line interface behavior and output determinism."""
 
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kcg
 from kcg.bounds import CATEGORIES
-from kcg.cli import main
+from kcg.cli import _COMMANDS, _build_parser, _parse_direct, main
 from kcg.tabledata import (SCHEMA, census, concordant_fixture, parse_table,
                            reference_table, report_tsv, serialize, unknown_fixture)
 from oracles import swinnerton_dyer
@@ -239,7 +244,7 @@ class TestColdStart:
                               capture_output=True, text=True, timeout=120, check=True)
         loaded = set(proc.stdout.split())
         assert "kcg.cli" in loaded
-        assert not loaded & {"dataclasses", "inspect", "importlib.resources",
+        assert not loaded & {"argparse", "dataclasses", "inspect", "importlib.resources",
                              "pathlib", "typing"}
 
     def test_bare_import_loads_only_errors_and_laurent(self):
@@ -267,6 +272,23 @@ class TestColdStart:
         status, out, _, loaded = _run_fresh(argv)
         assert status == 0 and out
         assert _layers(loaded) == PACKAGE_MODULES | {"kcg.cli"} | layers
+        # a well-formed command line is parsed without argparse
+        assert not loaded & {"argparse", "gettext", "locale"}
+
+    @pytest.mark.parametrize("argv, status", [
+        (["-h"], 0),
+        (["census", "-h"], 0),
+        (["factor", "--bogus"], 2),
+    ], ids=["help", "census-help", "bogus-flag"])
+    def test_help_and_usage_are_argparses(self, argv, status, capsys):
+        with pytest.raises(SystemExit) as want:
+            _build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        assert (got.value.code, capsys.readouterr()) == (want.value.code, expected)
+        assert got.value.code == status
+        assert (expected.err if status else expected.out).startswith("usage: kcg")
 
 
 class TestBoundCommand:
@@ -500,3 +522,87 @@ class TestUsageErrors:
         else:
             assert proc.returncode == 2
             assert proc.stderr.startswith("usage: kcg ")
+
+
+# an argv grammar: subcommands exact, abbreviated, unknown or -h; options of
+# any subcommand, abbreviated or unknown, in the = and the space form
+_SUBCOMMANDS = [*_COMMANDS, "fac", "cen", "bogus", "-h"]
+_FLAGS = [*sorted({flag for _, _, options in _COMMANDS.values() for flag, *_ in options}),
+          "--max", "--cand", "--na", "--bogus", "-h"]
+_TABLES = [UNKNOWN_CSV, SMALL_CSV]
+_VALUES = ["", "-x", "--", " 3", "+3", "3_0", "-5", "a=b", "-a b", *_TABLES]
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(_SUBCOMMANDS))
+    own = [flag for flag, *_ in _COMMANDS.get(command, (None, None, ()))[2]]
+    # each option of the subcommand given or not, plus at most one of any
+    flags = [flag for flag in own if draw(st.integers(0, 3))]
+    flags = draw(st.permutations(flags + draw(st.lists(st.sampled_from(_FLAGS), max_size=1))))
+    argv = [command]
+    for flag in flags:
+        value = draw(st.sampled_from(_VALUES))
+        if flag == "--report" and value in _TABLES:
+            value = "report.tsv"  # a report is written; never over a bundled table
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for ``argv``, or its exit code."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(_build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+class TestDirectParse:
+    """A well-formed command line is parsed without argparse, into the
+    namespace argparse gives it; any other goes to argparse."""
+
+    @settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+    @given(_argvs())
+    @example(["census", "--table", UNKNOWN_CSV, "--max-summands", " 3"])
+    @example(["match", "--name=a=b", f"--table={UNKNOWN_CSV}", "--candidates", SMALL_CSV,
+              "--max-summands=3_0"])
+    @example(["invariants", "--seifert=-a b"])
+    def test_direct_namespace_is_argparses(self, argv):
+        direct = _parse_direct(argv)
+        if direct is not None:
+            assert vars(direct) == _argparse_vars(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["fac", "--poly", "1"], ["factor", "--po", "1"],
+        ["factor", "--poly", "1", "--poly", "2"], ["factor", "--poly", "-5"],
+        ["factor", "--poly", "1", "x"], ["factor", "--", "--poly", "1"],
+        ["factor", "--poly=--"], ["factor"], ["census", "--table", UNKNOWN_CSV, "--max", "3"],
+        ["census", "--table", UNKNOWN_CSV, "--max-summands", "x"],
+    ], ids=["empty", "help", "abbreviated-command", "abbreviated-option", "repeated",
+            "dash-value", "positional", "double-dash", "double-dash-value", "missing",
+            "abbreviated-int", "bad-int"])
+    def test_other_command_lines_go_to_argparse(self, argv):
+        assert _parse_direct(argv) is None
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(_argvs())
+    def test_main_ends_in_one_of_three_ways(self, argv):
+        parsed = _argparse_vars(argv)
+        summands = parsed.get("max_summands") if isinstance(parsed, dict) else None
+        if isinstance(summands, int) and summands > 3:
+            return  # a sweep over sums of up to 30 candidates runs for minutes
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+            os.chdir(tmp)  # a report path the grammar draws is written here
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+            finally:
+                os.chdir(cwd)
+        err = err.getvalue()
+        assert status in (0, 1, 2)
+        assert (err == "" or re.fullmatch(r"kcg: [^\n]*\n", err)
+                or err.startswith("usage: kcg")), err

@@ -58,7 +58,7 @@ class KnotRecord(Record):
     CSV line, a field the CSV reader accepts, and a TSV cell.
     ``alexander`` must be a knot polynomial (palindromic, |Delta(1)| = 1),
     and the one of ``seifert`` when a matrix is given: checked by
-    :meth:`SeifertMatrix.has_alexander`, which interpolates nothing.
+    :meth:`SeifertMatrix.has_alexander`, which keeps it on the matrix.
     ``genus4`` is an interval [lo, hi]; when the table leaves it blank the
     parser fills in the always-valid default [signature_bound, genus3].
     """
@@ -107,13 +107,16 @@ class GcBounds(Record):
 
     ``contributors`` lists every bound source that achieved the lower
     bound, in the fixed order genus4, signature, polynomial; ``status``
-    is determined exactly when lower equals upper.
+    is derived: determined exactly when lower equals upper.
     """
 
     lower: int
     upper: int
     contributors: tuple[tuple[str, int], ...]
-    status: str
+
+    @property
+    def status(self) -> str:
+        return DETERMINED if self.lower == self.upper else UNDETERMINED
 
     def contributors_text(self) -> str:
         """The contributors as ``source=value``, comma-joined."""
@@ -139,8 +142,7 @@ def combine(genus4_lo: int, signature: int, poly_bound: int, genus3: int,
     if poly_bound == lower:
         source = "polynomial+jump" if jump_enhanced else "polynomial"
         contributors.append((source, poly_bound))
-    status = DETERMINED if lower == genus3 else UNDETERMINED
-    return GcBounds(lower, genus3, tuple(contributors), status)
+    return GcBounds(lower, genus3, tuple(contributors))
 
 
 class Analysis(Record):
@@ -154,7 +156,7 @@ def analyze(k: KnotRecord, factor, genus_of=None) -> Analysis:
     once.  A slice record is [0, 0] unfactored; any other polynomial goes
     to ``factor``, e.g. ``laurent.factor`` or a shared ``laurent.factorer()``."""
     if k.slice_status == SLICE:
-        return Analysis(None, GcBounds(0, 0, (("slice", 0),), DETERMINED), CATEGORY_SLICE)
+        return Analysis(None, GcBounds(0, 0, (("slice", 0),)), CATEGORY_SLICE)
     fac = factor(k.alexander)
     profile = None
     if k.seifert is not None:

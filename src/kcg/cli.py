@@ -76,7 +76,6 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    from .bounds import CATEGORIES
     from .tabledata import census, report_tsv
 
     table = _read_table(args.table)
@@ -88,8 +87,8 @@ def _cmd_census(args) -> int:
                 fh.write(report_tsv(report))
         except OSError as exc:
             raise KcgError(f"cannot write report {args.report}: {exc.strerror}") from exc
-    for category in CATEGORIES:
-        print(f"{category}\t{report.counts[category]}")
+    for category, count in report.counts.items():
+        print(f"{category}\t{count}")
     print(f"total\t{report.total}")
     return 0
 

@@ -23,9 +23,6 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .seifert import SignatureProfile
 
-ODD_SYMMETRIC = "odd-multiplicity-symmetric"
-SIGNATURE_JUMP = "signature-jump"
-
 
 class RequiredFactors(Record):
     """What must divide the polynomial of every concordant knot, as
@@ -40,12 +37,6 @@ class RequiredFactors(Record):
 
     residual: Factorization
     enhanced: Factorization
-
-    @property
-    def contributors(self) -> tuple[tuple[LaurentPoly, str], ...]:
-        """The residual's factors, then the jump-forced ones, each tagged."""
-        return (tuple((q, ODD_SYMMETRIC) for q, _ in self.residual.factors)
-                + tuple((q, SIGNATURE_JUMP) for q, m in self.enhanced.factors if m == 2))
 
 
 def residual(fac: Factorization) -> Factorization:

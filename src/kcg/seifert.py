@@ -4,10 +4,10 @@ upper unit semicircle together with its jump structure.
 
 Every decision is exact.  The knot polynomial comes from integer determinants
 at interpolation nodes, once per matrix: the matrix keeps the node values,
-and the polynomial once it is interpolated from them.  Checking a matrix
-against a given polynomial compares values at the nodes and interpolates
-nothing, so ``fractions`` loads only when a polynomial or a profile is
-built.  At
+and the polynomial once known.  Checking a matrix against a polynomial
+compares values at the nodes and keeps that polynomial on a match, so a
+table row's matrix is never interpolated and ``fractions`` loads only for a
+bare matrix's polynomial or a profile's brackets.  At
 u = tan(theta/2) = p/q the Levine-Tristram form is a positive multiple of
 the integer Hermitian p(V+V^T) - iq(V-V^T), whose signature comes from
 fraction-free elimination over the Gaussian integers (p/q = 1/0: Murasugi).
@@ -91,7 +91,7 @@ class SeifertMatrix(Record):
 
     @cached_property
     def _alexander(self) -> LaurentPoly:
-        """det(V - t V^T) on first use; ``alexander`` is the public name."""
+        """det(V - t V^T), unless ``has_alexander`` kept it; ``alexander`` is public."""
         return canonicalize(_interpolate_int(tuple(zip(self._nodes, self._node_values))))
 
     def has_alexander(self, delta: LaurentPoly) -> bool:
@@ -101,14 +101,17 @@ class SeifertMatrix(Record):
         with value 1 at t = 1, so its canonical form has degree d = n - 2s
         and it equals Delta(1) t^s Delta(t) exactly when its canonical form
         is Delta.  Both sides have degree at most n, so agreeing at the n+1
-        nodes is agreeing everywhere.  An odd n - d, or d > n, fails.
+        nodes is agreeing everywhere.  An odd n - d, or d > n, fails.  A
+        match keeps ``delta`` as the matrix's polynomial.
         """
         n, d = self.size, delta.degree
-        if (n - d) % 2 or d > n:
-            return False
         unit, s = sum(delta.coeffs), (n - d) // 2
-        return all(y == unit * x ** s * _intpoly.eval_at(delta.coeffs, x)
-                   for x, y in zip(self._nodes, self._node_values))
+        if (n - d) % 2 or d > n or any(
+                y != unit * x ** s * _intpoly.eval_at(delta.coeffs, x)
+                for x, y in zip(self._nodes, self._node_values)):
+            return False
+        self.__dict__["_alexander"] = delta
+        return True
 
 
 class SignatureProfile(Record):
@@ -352,8 +355,8 @@ def alexander(V: SeifertMatrix) -> LaurentPoly:
     nodes and interpolating; the value at t = 1 is det(V - V^T) = 1, so
     a constructed matrix can never fail the knot-polynomial check.  The
     matrix keeps the node values and the result, so each matrix is
-    evaluated and interpolated once, and
-    :meth:`SeifertMatrix.has_alexander` shares the evaluations.
+    evaluated once and interpolated at most once: never after
+    :meth:`SeifertMatrix.has_alexander` has confirmed a polynomial.
     """
     return V._alexander
 

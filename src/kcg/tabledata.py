@@ -46,6 +46,13 @@ class KnotTable(Record):
     source_path: str = "<stream>"
     rejected: tuple[RejectedRow, ...] = ()
 
+    def __post_init__(self):
+        names = set()
+        for rec in self.records:
+            if rec.name in names:
+                raise TableError(f"duplicate name {rec.name}")
+            names.add(rec.name)
+
     def find(self, name: str) -> KnotRecord | None:
         for rec in self.records:
             if rec.name == name:
@@ -298,14 +305,24 @@ class CensusRow(Record):
 
 
 class CensusReport(Record):
-    counts: dict
-    total: int
     rows: tuple[CensusRow, ...]
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """Rows per category, in ``CATEGORIES`` order; a new dict each call."""
+        counts = dict.fromkeys(CATEGORIES, 0)
+        for row in self.rows:
+            counts[row.category] += 1
+        return counts
+
+    @property
+    def total(self) -> int:
+        return len(self.rows)
 
 
 def census(table: KnotTable, candidates: KnotTable | None = None,
            max_summands: int = 2) -> CensusReport:
-    """Classify every record and aggregate category counts.
+    """Classify every record.
 
     Rows keep the input order.  The genus lookup for tabulated
     concordances is assembled from the candidate table (if any) and the
@@ -327,7 +344,6 @@ def census(table: KnotTable, candidates: KnotTable | None = None,
         genus_of = {rec.name: rec.genus3 for rec in reference_table().records} | genus_of
     # for this call only
     factored = laurent.factorer()
-    counts = {category: 0 for category in CATEGORIES}
     analyses, queries, keys, pool = {}, {}, [], None
     for rec in table.records:
         key = (rec.alexander, rec.signature, rec.genus3, rec.genus4,
@@ -338,7 +354,6 @@ def census(table: KnotTable, candidates: KnotTable | None = None,
             if candidates is not None and analysis.category == CATEGORY_UNKNOWN:
                 pool = pool or _pool(candidates, factored)
                 queries[key] = (rec, analysis.required.enhanced)
-        counts[analysis.category] += 1
         keys.append(key)
     found = {}
     if queries:
@@ -347,7 +362,7 @@ def census(table: KnotTable, candidates: KnotTable | None = None,
     rows = tuple(CensusRow(rec.name, analyses[key].bounds, analyses[key].category,
                            found.get(key, ()))
                  for rec, key in zip(table.records, keys))
-    return CensusReport(counts=counts, total=len(rows), rows=rows)
+    return CensusReport(rows)
 
 
 def report_tsv(report: CensusReport) -> str:

@@ -5,7 +5,8 @@ check: multiplication is a dict-based convolution, division is schoolbook
 over the rationals, signatures come straight from numpy eigenvalues or
 from a congruence diagonalization over the rationals of a real form, and
 the minimal-residual oracle enumerates decompositions instead of using
-the multiset rule.
+the multiset rule.  numpy loads only in the eigenvalue oracle, so every
+other oracle works without it.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import math
 import random
 from fractions import Fraction
 from itertools import product as iproduct
-
-import numpy as np
 
 from kcg.errors import SeifertError
 from kcg.laurent import ONE, LaurentPoly, canonicalize, factor, mul, poly_from_text, reciprocal
@@ -159,6 +158,8 @@ def swinnerton_dyer(primes) -> list[int]:
 
 def eig_signature(entries, theta):
     """Floating-point signature of (1-w)V + (1-conj(w))V^T at w=e^(i theta)."""
+    import numpy as np
+
     v = np.array(entries, dtype=float)
     w = complex(math.cos(theta), math.sin(theta))
     m = (1 - w) * v + (1 - w.conjugate()) * v.T

@@ -144,7 +144,16 @@ class TestGcBounds:
     def test_slice_record(self):
         rec = record(slice_status="slice", signature=0, genus4=(0, 0),
                      alexander=P("2;-5;2"))
-        assert gc_bounds(rec) == GcBounds(0, 0, (("slice", 0),), DETERMINED)
+        assert gc_bounds(rec) == GcBounds(0, 0, (("slice", 0),))
+        assert gc_bounds(rec).status == DETERMINED
+
+    def test_status_is_derived_from_the_interval(self):
+        # no field can restate the interval: status is determined exactly
+        # when lower equals upper, for any bounds that can be built
+        assert GcBounds(2, 2, ()).status == DETERMINED
+        assert GcBounds(1, 2, (("genus4", 1),)).status == UNDETERMINED
+        with pytest.raises(TypeError):
+            GcBounds(1, 2, (("genus4", 1),), status=DETERMINED)
 
     def test_seifert_jump_feeds_the_bound(self):
         # two trefoil blocks: polynomial (1-t+t^2)^2 whose residual is
@@ -173,7 +182,8 @@ class TestGcBounds:
     def test_knot_polynomial_interpolated_once_per_matrix(self, monkeypatch):
         # validating the record and building its signature profile share
         # one set of determinants det(V - x V^T); validation interpolates
-        # nothing, and each profiled matrix is interpolated once
+        # nothing and keeps the record's polynomial on its matrix, so no
+        # record's matrix is interpolated; a bare matrix is, once
         dets, interpolations = [], []
         det, interpolate = seifert._det_int, seifert._interpolate_int
         monkeypatch.setattr(seifert, "_det_int",
@@ -190,9 +200,13 @@ class TestGcBounds:
         for rec in records:
             gc_bounds(rec)
         assert len(dets) == determinants
-        # the slice row is [0, 0] without a profile
+        # the slice row is [0, 0] without a profile; the 7 others build one
         assert sum(r.slice_status != "slice" for r in records) == 7
-        assert len(interpolations) == 7
+        assert interpolations == []
+        assert all(seifert.alexander(r.seifert) is r.alexander for r in records)
+        bare = SeifertMatrix(records[-1].seifert.entries)
+        assert seifert.alexander(bare) == seifert.alexander(bare) == records[-1].alexander
+        assert len(interpolations) == 1
 
 
 class TestClassify:

@@ -4,70 +4,24 @@ same category profile as a complete eleven-crossing export
 
 import collections
 import hashlib
-import itertools
 import sys
 import time
 
 import pytest
 
+from bench import gen
 from kcg import _intpoly, bounds, foxmilnor, laurent, tabledata
 from kcg.bounds import KnotRecord
-from kcg.laurent import Factorization, factor, mul, poly_from_text
-from kcg.tabledata import (KnotTable, _load_bundled, census,
-                           concordant_fixture, match_candidates, parse_table,
-                           reference_table, report_tsv, serialize,
-                           slice_fixture, unknown_fixture)
-
-# symmetric irreducibles, keyed by half-degree
-IRREDUCIBLE_POOL = {
-    1: ("1;-1;1", "1;-3;1", "2;-3;2", "3;-5;3", "4;-7;4", "5;-9;5"),
-    2: ("1;-3;3;-3;1", "1;-3;5;-3;1", "2;-4;5;-4;2", "1;-5;7;-5;1",
-        "1;-5;9;-5;1", "2;-6;7;-6;2"),
-    3: ("2;-12;30;-39;30;-12;2", "1;-1;1;-1;1;-1;1"),
-}
-
-
-def _irreducible_rows(count):
-    pool = [(g, poly_from_text(t)) for g, ts in IRREDUCIBLE_POOL.items()
-            for t in ts]
-    rows = []
-    for i, (g3, delta) in zip(range(count), itertools.cycle(pool)):
-        rows.append(KnotRecord(
-            name=f"gen_irr_{i:03d}", crossings=11, alexander=delta,
-            signature=0, genus3=g3, genus4=(0, g3), slice_status="not_slice"))
-    return rows
-
-
-def _no_pair_rows(count):
-    flat = [poly_from_text(t) for ts in IRREDUCIBLE_POOL.values() for t in ts]
-    combos = itertools.cycle(itertools.combinations(flat, 2))
-    rows = []
-    for i, (a, b) in zip(range(count), combos):
-        delta = mul(a, b)
-        g3 = delta.degree // 2
-        rows.append(KnotRecord(
-            name=f"gen_pair_{i:03d}", crossings=11, alexander=delta,
-            signature=0, genus3=g3, genus4=(0, g3), slice_status="not_slice"))
-    return rows
-
-
-def _signature_rows(count):
-    delta = mul(mul(poly_from_text("1;-1;1"), poly_from_text("1;-1;1")),
-                poly_from_text("4;-7;4"))
-    return [KnotRecord(
-        name=f"gen_sig_{i}", crossings=11, alexander=delta, signature=-6,
-        genus3=3, genus4=(3, 3), slice_status="not_slice")
-        for i in range(count)]
+from kcg.laurent import Factorization, factor, poly_from_text
+from kcg.tabledata import (KnotTable, _load_bundled, census, concordant_fixture,
+                           match_candidates, parse_table, reference_table,
+                           report_tsv, serialize, unknown_fixture)
 
 
 def _full_table():
-    records = (
-        _irreducible_rows(384) + _no_pair_rows(84) + _signature_rows(6)
-        + list(slice_fixture().records)
-        + list(concordant_fixture().records)
-        + list(unknown_fixture().records))
-    assert len(records) == 552
-    return KnotTable(tuple(records), source_path="<synthetic-552>")
+    """The seed-0 census552 table of the benchmark generator: the
+    repository's synthetic table, row for row."""
+    return gen.census_input(0).table
 
 
 def test_synthetic_552_census_counts_and_runtime():
@@ -97,7 +51,11 @@ def test_synthetic_552_survives_serialization():
 def test_pair_rows_really_have_no_norm_factor():
     # spot-check the generator assumption: every synthesized product has
     # two distinct symmetric factors, each once
-    for rec in _no_pair_rows(84):
+    inp = gen.census_input(0)
+    pairs = [rec for rec in inp.table.records
+             if inp.category_of[rec.name] == "determined_poly_no_symmetric_pair"]
+    assert len(pairs) == 84
+    for rec in pairs:
         fac = factor(rec.alexander)
         assert sum(m for _, m in fac.factors) == 2
         assert all(m == 1 for _, m in fac.factors)

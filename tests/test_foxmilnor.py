@@ -7,9 +7,8 @@ from fractions import Fraction
 import pytest
 
 from kcg.errors import PolynomialError, ProfileError
-from kcg.foxmilnor import (ODD_SYMMETRIC, SIGNATURE_JUMP, RequiredFactors,
-                           enhanced_required_factors, gc_poly_lower_bound,
-                           residual, slice_obstruction)
+from kcg.foxmilnor import (RequiredFactors, enhanced_required_factors,
+                           gc_poly_lower_bound, residual, slice_obstruction)
 from kcg.laurent import (ONE, Factorization, factor, mul, poly_from_text,
                          reciprocal)
 from kcg.seifert import SignatureProfile
@@ -84,9 +83,10 @@ class TestMultisets:
                                         profile_with_jump(PI / 3, 4))
         assert req.enhanced == Factorization(
             ((P("1;-1;1"), 2), (P("1;-1;1;-1;1"), 1)))
-        # the residual's factors first, then the jump-forced ones
-        assert req.contributors == ((P("1;-1;1;-1;1"), ODD_SYMMETRIC),
-                                    (P("1;-1;1"), SIGNATURE_JUMP))
+        # the odd symmetric factor is the residual, and the jump forces
+        # the even one back in, squared
+        assert req.residual == Factorization(((P("1;-1;1;-1;1"), 1),))
+        assert req.enhanced == req.residual * Factorization(((P("1;-1;1"), 2),))
 
 
 class TestSliceObstruction:
@@ -110,8 +110,9 @@ class TestEnhancement:
         expected = mul(mul(P("1;-1;1"), P("1;-1;1")), P("1;-1;1;-1;1"))
         assert req.enhanced.expand() == expected
         assert req.enhanced.expand().degree == 8
-        assert (P("1;-1;1"), SIGNATURE_JUMP) in req.contributors
-        assert (P("1;-1;1;-1;1"), ODD_SYMMETRIC) in req.contributors
+        assert (P("1;-1;1"), 2) in req.enhanced.factors
+        assert (P("1;-1;1"), 2) not in req.residual.factors
+        assert (P("1;-1;1;-1;1"), 1) in req.residual.factors
 
     def test_negative_jump_counts(self):
         req = enhanced_required_factors(self.F_JUMPY, profile_with_jump(PI / 3, -4))
@@ -129,7 +130,7 @@ class TestEnhancement:
     def test_absent_profile(self):
         req = enhanced_required_factors(Factorization(()), None)
         assert req.residual.expand() == req.enhanced.expand() == ONE
-        assert req.contributors == ()
+        assert req.residual.factors == req.enhanced.factors == ()
 
     def test_jump_at_foreign_angle_rejected(self):
         with pytest.raises(ProfileError, match="inconsistent profile"):

@@ -21,7 +21,7 @@ FIG8 = poly_from_text("1;-3;1")
 V_TREFOIL = SeifertMatrix(((-1, 1), (0, -1)))
 F_TREFOIL = Factorization(((TREFOIL, 1),))
 F_FIG8 = Factorization(((FIG8, 1),))
-BOUNDS = GcBounds(1, 1, (("signature", 1),), "determined")
+BOUNDS = GcBounds(1, 1, (("signature", 1),))
 TREFOIL_RECORD = ("3_1", 3, TREFOIL, -2, 1, (1, 1), "not_slice", V_TREFOIL, ())
 FIG8_RECORD = ("4_1", 4, FIG8, 0, 1, (1, 1), "not_slice", None, ("4_1",))
 
@@ -38,17 +38,17 @@ RECORDS = {
     KnotRecord: (("name", "crossings", "alexander", "signature", "genus3",
                   "genus4", "slice_status", "seifert", "concordant_to"),
                  TREFOIL_RECORD, FIG8_RECORD),
-    GcBounds: (("lower", "upper", "contributors", "status"),
-               (1, 1, (("signature", 1),), "determined"),
-               (0, 1, (("genus4", 0),), "undetermined")),
+    GcBounds: (("lower", "upper", "contributors"),
+               (1, 1, (("signature", 1),)),
+               (0, 1, (("genus4", 0),))),
     KnotTable: (("records", "source_path", "rejected"),
                 ((KnotRecord(*TREFOIL_RECORD),), "<stream>", ()),
                 ((), "t.csv", (RejectedRow(2, "empty name"),))),
     CandidateMatch: (("expression", "combined_alexander", "combined_genus3",
                       "combined_crossings"),
                      ("3_1", TREFOIL, 1, 3), ("4_1", FIG8, 1, 4)),
-    CensusReport: (("counts", "total", "rows"), ({"slice": 1}, 1, ()),
-                   ({"slice": 0}, 0, ())),
+    CensusReport: (("rows",), ((),),
+                   ((CensusRow("3_1", BOUNDS, "determined_irreducible_poly", ()),),)),
     CensusRow: (("name", "bounds", "category", "candidates"),
                 ("3_1", BOUNDS, "determined_irreducible_poly", ()),
                 ("3_1", BOUNDS, "unknown", ("4_1",))),
@@ -139,6 +139,11 @@ def test_cached_polynomial_survives_a_round_trip():
     assert alexander(matrix) == TREFOIL
     assert pickle.loads(pickle.dumps(matrix)) == matrix
     assert alexander(copy.deepcopy(matrix)) == TREFOIL
+    # a polynomial that has_alexander confirmed is kept the same way
+    kept = SeifertMatrix(((-1, 1), (0, -1)))
+    assert kept.has_alexander(TREFOIL) and vars(kept)["_alexander"] is TREFOIL
+    assert kept == V_TREFOIL and hash(kept) == hash(V_TREFOIL)
+    assert pickle.loads(pickle.dumps(kept)) == kept
 
 
 @pytest.mark.parametrize("build, error, message", [

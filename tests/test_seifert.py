@@ -3,13 +3,17 @@
 import cmath
 import functools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kcg
 from kcg import _intpoly
 from kcg.errors import PolynomialError, ProfileError, SeifertError
 from kcg.laurent import ONE, canonicalize, eval_int, is_symmetric, poly_from_text
@@ -174,6 +178,19 @@ class TestMurasugiSignature:
         assert _hermitian_signature(zero, [[0, 2], [-2, 0]]) == 0
         assert _hermitian_signature([[1, 1], [1, 1]], [[0, 1], [-1, 0]]) == 0
         assert _hermitian_signature([[1, 1], [1, 2]], [[0, 1], [-1, 0]]) == 1
+
+
+def test_oracles_import_without_numpy():
+    # numpy backs only the float eigenvalue oracle; the exact oracles,
+    # and every test that uses no other, run where numpy is missing
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kcg.__file__)))
+    code = ("import sys; sys.modules['numpy'] = None; import oracles; "
+            "print(oracles.exact_lt_signature(((-1, 1), (0, -1)), oracles.Fraction(1)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join((tests, src))),
+                          timeout=120, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "-2\n", "")
 
 
 class TestLtSignature:

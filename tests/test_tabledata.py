@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 import kcg
 from kcg import laurent
-from kcg.bounds import CATEGORY_UNKNOWN, FIELD_LIMIT, SLICE_STATUSES, KnotRecord
+from kcg.bounds import (CATEGORIES, CATEGORY_UNKNOWN, FIELD_LIMIT, SLICE_STATUSES,
+                        KnotRecord)
 from kcg.errors import KcgError, PolynomialError, RecordError, TableError
 from kcg.laurent import factor, mul, poly_from_text
-from kcg.tabledata import (KnotTable, RejectedRow, census,
+from kcg.tabledata import (CensusReport, KnotTable, RejectedRow, census,
                            concordant_fixture, match_candidates, parse_table,
                            read_table, reference_table, report_tsv, serialize,
                            slice_fixture, unknown_fixture,
@@ -66,6 +67,19 @@ class TestParse:
                      "3_1,3,1;-1;1,-2,1,1,1,not_slice,,")
         assert len(t.records) == 1
         assert "duplicate name" in t.rejected[0].reason
+
+    def test_table_built_with_a_repeated_name_is_refused(self):
+        # the parser's reason, for a table built without the parser, so
+        # ``find`` and the census's genus lookup never see two records
+        # under one name
+        trefoil = KnotRecord(name="3_1", **TREFOIL_FIELDS)
+        other = KnotRecord(name="3_1", **dict(TREFOIL_FIELDS, crossings=11))
+        with pytest.raises(TableError, match="^duplicate name 3_1$"):
+            KnotTable((trefoil, other))
+        with pytest.raises(TableError, match="^duplicate name 3_1$"):
+            KnotTable(records=(trefoil, KnotRecord(name="x", **TREFOIL_FIELDS), trefoil),
+                      source_path="t.csv")
+        assert len(KnotTable((trefoil, KnotRecord(name="3_1a", **TREFOIL_FIELDS))).records) == 2
 
     def test_all_rows_bad_is_fatal(self):
         with pytest.raises(TableError, match="all rows rejected"):
@@ -297,6 +311,21 @@ class TestCensus:
     def test_counts_sum_to_total(self):
         rep = census(reference_table())
         assert sum(rep.counts.values()) == rep.total == len(reference_table().records)
+
+    def test_counts_and_total_are_derived_from_the_rows(self):
+        # rows are the report's only field, so no report can be built whose
+        # counts contradict them; counts come in CATEGORIES order, with
+        # zeros, as a new dict each time
+        rep = census(unknown_fixture(), reference_table())
+        assert list(rep.counts) == list(CATEGORIES)
+        assert rep.counts == {**dict.fromkeys(CATEGORIES, 0), "unknown": 19}
+        assert rep.total == 19
+        rep.counts["unknown"] = 0
+        assert rep.counts["unknown"] == 19
+        empty = CensusReport(())
+        assert (empty.counts, empty.total) == (dict.fromkeys(CATEGORIES, 0), 0)
+        with pytest.raises(TypeError):
+            CensusReport(rep.rows, counts=rep.counts)
 
     def test_row_order_matches_input(self):
         rep = census(unknown_fixture())

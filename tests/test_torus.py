@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 from kcg.bounds import DETERMINED, SLICE_UNKNOWN, UNDETERMINED, KnotRecord, analyze
-from kcg.foxmilnor import SIGNATURE_JUMP
 from kcg.laurent import ONE, canonicalize, factor, poly_from_text
 from kcg.seifert import alexander, signature_profile
 from oracles import (block_sum, conv_mul, cyclotomic, litherland_signature, mirror,
@@ -74,7 +73,10 @@ def test_jump_alone_decides_the_genus():
     assert (analysis.bounds.lower, analysis.bounds.upper) == (4, 4)
     assert analysis.bounds.status == DETERMINED
     assert analysis.bounds.contributors == (("polynomial+jump", 4),)
-    assert (poly_from_text("1;-1;1"), SIGNATURE_JUMP) in analysis.required.contributors
+    # Phi_6 = 1;-1;1 comes back squared, forced by the jump, not by parity
+    jump_forced = (poly_from_text("1;-1;1"), 2)
+    assert jump_forced in analysis.required.enhanced.factors
+    assert poly_from_text("1;-1;1") not in dict(analysis.required.residual.factors)
 
 
 def test_slice_sum_gets_no_enhancement():

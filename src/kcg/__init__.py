@@ -11,7 +11,7 @@ candidate-concordance matcher.
 command needs.  Every other public name, and each of the layers
 ``bounds``, ``foxmilnor``, ``seifert`` and ``tabledata``, is loaded on
 first access (PEP 562), so a short process compiles only the layers it
-runs.
+runs (``SeifertMatrix`` from ``_matrix``, without the signature code).
 """
 
 from .errors import KcgError
@@ -24,9 +24,9 @@ _LAZY = {name: layer for layer, names in (
                 "gc_bounds")),
     ("foxmilnor", ("RequiredFactors", "enhanced_required_factors",
                    "gc_poly_lower_bound", "residual", "slice_obstruction")),
-    ("seifert", ("SeifertMatrix", "SignatureProfile", "alexander",
-                 "murasugi_signature", "signature_profile",
-                 "unit_circle_root_angles")),
+    ("_matrix", ("SeifertMatrix",)),
+    ("seifert", ("SignatureProfile", "alexander", "murasugi_signature",
+                 "signature_profile", "unit_circle_root_angles")),
     ("tabledata", ("CandidateMatch", "CensusReport", "KnotTable", "census",
                    "match_candidates", "parse_table", "reference_table",
                    "report_tsv", "serialize")),

@@ -18,8 +18,8 @@ a refusal, never a hang.
 
 Knot polynomials are palindromic, and a palindromic h of degree 2m with
 h(1) h(-1) != 0 is factored at half the degree through its trace
-polynomial D, t^-m h(t) = D(t + 1/t) (:func:`to_trace`, None for every
-other h, is the one test for this route): D is factored, and each
+polynomial D, t^-m h(t) = D(t + 1/t) (:func:`has_trace` is the one test
+for this route, and :func:`to_trace` builds D): D is factored, and each
 irreducible d is lifted back to t^deg(d) d(t + 1/t) (:func:`from_trace`).
 A lift is irreducible or +-f(t) f*(t) with f* the reciprocal of f; only a
 lift that passes the exact test for the latter (:func:`_may_split`) is
@@ -229,12 +229,16 @@ def squarefree_decomposition(f):
 # the trace transform of palindromic polynomials
 
 
+def has_trace(h):
+    """Whether h is palindromic with h(1) h(-1) != 0 (so of even degree)."""
+    return h == h[::-1] and eval_at(h, 1) != 0 and eval_at(h, -1) != 0
+
+
 def to_trace(h):
-    """D with t^-m h(t) = D(t + 1/t), or None unless h is palindromic of
-    degree 2m with h(1) h(-1) != 0 (odd degree would give h(-1) = 0).
-    t^-m h(t) is a sum of t^k + t^-k = P_k(x), P_0 = 2, P_1 = x,
-    P_(k+1) = x P_k - P_(k-1)."""
-    if h != h[::-1] or not eval_at(h, 1) or not eval_at(h, -1):
+    """D with t^-m h(t) = D(t + 1/t) for h of degree 2m, or None unless
+    :func:`has_trace`.  t^-m h(t) is a sum of t^k + t^-k = P_k(x), P_0 = 2,
+    P_1 = x, P_(k+1) = x P_k - P_(k-1)."""
+    if not has_trace(h):
         return None
     m = len(h) // 2
     out, prev, cur = [h[m]], [2], [0, 1]

@@ -13,11 +13,11 @@ from ._record import Record
 from .errors import RecordError
 from .laurent import Factorization, LaurentPoly
 
-# ``seifert`` is imported only where a record holds a matrix, so a table
-# without matrices never loads it
+# ``seifert`` is imported only where a record's matrix is profiled, so a
+# table whose matrices are only checked never loads it
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .seifert import SeifertMatrix
+    from ._matrix import SeifertMatrix
 
 SLICE = "slice"
 NOT_SLICE = "not_slice"
@@ -59,6 +59,7 @@ class KnotRecord(Record):
     ``alexander`` must be a knot polynomial (palindromic, |Delta(1)| = 1),
     and the one of ``seifert`` when a matrix is given: checked by
     :meth:`SeifertMatrix.has_alexander`, which keeps it on the matrix.
+    ``signature`` is even: V + V^T has even size and odd determinant +-Delta(-1).
     ``genus4`` is an interval [lo, hi]; when the table leaves it blank the
     parser fills in the always-valid default [signature_bound, genus3].
     """
@@ -82,7 +83,7 @@ class KnotRecord(Record):
             if len(field) > FIELD_LIMIT:
                 raise RecordError(f"bad name: {field!r}")
         coeffs = self.alexander.coeffs
-        if coeffs != coeffs[::-1] or abs(laurent.eval_int(self.alexander, 1)) != 1:
+        if coeffs != coeffs[::-1] or abs(sum(coeffs)) != 1:
             raise RecordError("not a knot polynomial")
         if self.slice_status not in SLICE_STATUSES:
             raise RecordError(f"bad slice status: {self.slice_status!r}")
@@ -100,6 +101,8 @@ class KnotRecord(Record):
         if self.seifert is not None and not self.seifert.has_alexander(self.alexander):
             raise RecordError(
                 "inconsistent knot record: Seifert matrix does not match the polynomial")
+        if self.signature % 2:
+            raise RecordError("inconsistent knot record: odd signature")
 
 
 class GcBounds(Record):

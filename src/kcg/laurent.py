@@ -208,19 +208,20 @@ def factorer():
     input, every irreducible found so far in the batch, and the reciprocal
     of each, is divided out of it as often as it divides exactly (q | p
     in Z[t] gives q(a) | p(a), so a divisor's values at 2 and 3 must
-    divide the input's, which skips most trials); only a cofactor other
-    than 1 reaches :func:`factor`, so each irreducible is found by
-    Zassenhaus at most once per batch.  By Gauss's lemma and unique
-    factorization in Z[t], a primitive irreducible that divides the input
-    exactly is one of its factors, repeated exact division gives its
-    multiplicity, and the quotient stays canonical: the result equals
-    ``factor(p)``.  ``FACTOR_DEGREE_CAP`` is checked on the
-    whole input, so a refusal for degree does not depend on the inputs
-    before it; dividing out reciprocals in pairs keeps a palindromic input's
-    cofactor palindromic, so the cofactor passes the cap whenever the
-    input does.  The recombination budget bounds only the work on the
-    cofactor: an input whose cofactor fits within it is factored exactly
-    even where ``factor(p)`` alone would refuse.
+    divide the input's, which skips most trials, and the quotient's values
+    are p(a)/q(a) unless q(a) = 0); only a cofactor other than 1 reaches
+    :func:`factor`, so each irreducible is found by Zassenhaus at most
+    once per batch.  By Gauss's lemma and unique factorization in Z[t], a
+    primitive irreducible that divides the input exactly is one of its
+    factors, repeated exact division gives its multiplicity, and the
+    quotient stays canonical: the result equals ``factor(p)``.
+    ``FACTOR_DEGREE_CAP`` is checked on the whole input, so a refusal for
+    degree does not depend on the inputs before it; dividing out
+    reciprocals in pairs keeps a palindromic input's cofactor palindromic,
+    so the cofactor passes the cap whenever the input does.  The
+    recombination budget bounds only the work on the cofactor: an input
+    whose cofactor fits within it is factored exactly even where
+    ``factor(p)`` alone would refuse.
     """
     known: dict[LaurentPoly, tuple[int, int]] = {}  # irreducible -> its values at 2, 3
     done: dict[LaurentPoly, Factorization] = {}
@@ -229,15 +230,16 @@ def factorer():
         if p in done:
             return done[p]
         rest = list(p.coeffs)
-        trace = _intpoly.to_trace(rest)
-        if _intpoly.degree(rest if trace is None else trace) > _intpoly.FACTOR_DEGREE_CAP:
+        half = _intpoly.has_trace(rest)  # then the trace polynomial has half the degree
+        if _intpoly.degree(rest) // (2 if half else 1) > _intpoly.FACTOR_DEGREE_CAP:
             raise PolynomialError("degree limit exceeded")
         table: dict[LaurentPoly, int] = {}
         at2, at3 = _intpoly.eval_at(rest, 2), _intpoly.eval_at(rest, 3)
         for q, (q_at2, q_at3) in known.items():
             while (not (q_at2 and at2 % q_at2 or q_at3 and at3 % q_at3)
                    and (quo := _intpoly.try_div(rest, q.coeffs)) is not None):
-                rest, at2, at3 = quo, _intpoly.eval_at(quo, 2), _intpoly.eval_at(quo, 3)
+                rest, at2, at3 = (quo, at2 // q_at2 if q_at2 else _intpoly.eval_at(quo, 2),
+                                  at3 // q_at3 if q_at3 else _intpoly.eval_at(quo, 3))
                 table[q] = table.get(q, 0) + 1
         cofactor = LaurentPoly(tuple(rest))
         if cofactor != ONE:

@@ -82,32 +82,34 @@ def _split(line: str) -> list[str]:
         raise TableError(str(exc)) from exc
 
 
-def _parse_row(fields, polys: dict) -> KnotRecord:
-    """The record of one row; ``polys`` maps each ``alexander`` text parsed
-    so far to its polynomial."""
+def _parse_row(fields, tails: dict) -> KnotRecord:
+    """The record of one row; ``tails`` maps each row tail (every field but
+    the name) parsed so far to the record fields it gives."""
     if len(fields) != len(SCHEMA):
         raise TableError(f"expected {len(SCHEMA)} fields, got {len(fields)}")
-    (name, crossings, alex, sig, g3, g4min, g4max,
-     slice_status, seifert_text, concordant) = (f.strip() for f in fields)
-    delta = polys.get(alex)
-    if delta is None:
-        delta = polys[alex] = poly_from_text(alex)
-    signature = _parse_int(sig, "signature")
-    genus3 = _parse_int(g3, "genus3")
-    if g4min == "" and g4max == "":
-        genus4 = (signature_bound(signature), genus3)
-    elif g4min == "" or g4max == "":
-        raise TableError("four-genus interval must give both ends or neither")
-    else:
-        genus4 = (_parse_int(g4min, "genus4_min"), _parse_int(g4max, "genus4_max"))
-    matrix = None
-    if seifert_text:
-        from . import seifert
+    tail = tuple(fields[1:])
+    rest = tails.get(tail)
+    if rest is None:
+        (crossings, alex, sig, g3, g4min, g4max,
+         slice_status, seifert_text, concordant) = (f.strip() for f in tail)
+        delta = poly_from_text(alex)
+        signature = _parse_int(sig, "signature")
+        genus3 = _parse_int(g3, "genus3")
+        if g4min == "" and g4max == "":
+            genus4 = (signature_bound(signature), genus3)
+        elif g4min == "" or g4max == "":
+            raise TableError("four-genus interval must give both ends or neither")
+        else:
+            genus4 = (_parse_int(g4min, "genus4_min"), _parse_int(g4max, "genus4_max"))
+        matrix = None
+        if seifert_text:
+            from ._matrix import SeifertMatrix
 
-        matrix = seifert.SeifertMatrix.from_text(seifert_text)
-    summands = tuple(part.strip() for part in concordant.split("+") if part.strip())
-    return KnotRecord(name, _parse_int(crossings, "crossings"), delta, signature,
-                      genus3, genus4, slice_status, matrix, summands)
+            matrix = SeifertMatrix.from_text(seifert_text)
+        summands = tuple(part.strip() for part in concordant.split("+") if part.strip())
+        rest = tails[tail] = (_parse_int(crossings, "crossings"), delta, signature,
+                              genus3, genus4, slice_status, matrix, summands)
+    return KnotRecord(fields[0].strip(), *rest)
 
 
 def parse_table(text, source_path: str = "<stream>") -> KnotTable:
@@ -119,7 +121,8 @@ def parse_table(text, source_path: str = "<stream>") -> KnotTable:
     collected on ``KnotTable.rejected`` with line numbers, and the parse
     only fails, naming the first of them, when every row is bad.  A table
     without rows parses to no records and no rejected rows.  Each distinct
-    ``alexander`` text is parsed once per call.
+    row tail (every field but the name) is parsed once per call; each row
+    builds and validates its own record, for the reason it alone gives.
     """
     if hasattr(text, "read"):
         text = text.read()
@@ -134,10 +137,10 @@ def parse_table(text, source_path: str = "<stream>") -> KnotTable:
     records: list[KnotRecord] = []
     rejected: list[RejectedRow] = []
     names: set[str] = set()
-    polys: dict[str, LaurentPoly] = {}
+    tails: dict[tuple[str, ...], tuple] = {}
     for lineno, line in lines[1:]:
         try:
-            rec = _parse_row(_split(line), polys)
+            rec = _parse_row(_split(line), tails)
         except KcgError as exc:
             rejected.append(RejectedRow(lineno, str(exc)))
             continue
@@ -153,10 +156,10 @@ def parse_table(text, source_path: str = "<stream>") -> KnotTable:
 
 
 def read_table(path: str) -> KnotTable:
-    """:func:`parse_table` of the UTF-8 file at ``path``, line endings
-    untouched; a file that cannot be read is a one-line TableError."""
+    """:func:`parse_table` of the UTF-8 file at ``path`` (a leading byte-order
+    mark skipped, line endings untouched); an unreadable file is a TableError."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return parse_table(fh.read(), source_path=path)
     except OSError as exc:
         raise TableError(f"cannot read table {path}: {exc.strerror}") from exc
@@ -344,7 +347,7 @@ def census(table: KnotTable, candidates: KnotTable | None = None,
         genus_of = {rec.name: rec.genus3 for rec in reference_table().records} | genus_of
     # for this call only
     factored = laurent.factorer()
-    analyses, queries, keys, pool = {}, {}, [], None
+    analyses, queries, keyed, pool = {}, {}, [], None
     for rec in table.records:
         key = (rec.alexander, rec.signature, rec.genus3, rec.genus4,
                rec.slice_status, rec.seifert, rec.concordant_to)
@@ -354,14 +357,13 @@ def census(table: KnotTable, candidates: KnotTable | None = None,
             if candidates is not None and analysis.category == CATEGORY_UNKNOWN:
                 pool = pool or _pool(candidates, factored)
                 queries[key] = (rec, analysis.required.enhanced)
-        keys.append(key)
+        keyed.append((key, analysis))
     found = {}
     if queries:
         found = {key: tuple(expression for _, _, expression, _ in out) for key, out
                  in zip(queries, _sweep(list(queries.values()), pool, max_summands))}
-    rows = tuple(CensusRow(rec.name, analyses[key].bounds, analyses[key].category,
-                           found.get(key, ()))
-                 for rec, key in zip(table.records, keys))
+    rows = tuple(CensusRow(rec.name, analysis.bounds, analysis.category, found.get(key, ()))
+                 for rec, (key, analysis) in zip(table.records, keyed))
     return CensusReport(rows)
 
 

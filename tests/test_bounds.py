@@ -11,7 +11,7 @@ from kcg.bounds import (CATEGORY_CONCORDANT, CATEGORY_IRREDUCIBLE_POLY,
                         CATEGORY_SLICE, CATEGORY_UNKNOWN, DETERMINED,
                         UNDETERMINED, GcBounds, KnotRecord, classify, combine,
                         gc_bounds, signature_bound)
-from kcg import seifert
+from kcg import _matrix, seifert
 from kcg.errors import RecordError
 from kcg.laurent import mul, poly_from_text
 from kcg.seifert import SeifertMatrix
@@ -60,6 +60,16 @@ class TestKnotRecordValidation:
         # both are 1 at t = 1
         with pytest.raises(RecordError, match="^not a knot polynomial$"):
             record(alexander=P(text))
+
+    @pytest.mark.parametrize("signature", [3, -1, 2 * 10**400 + 1], ids=["3", "-1", "huge"])
+    def test_odd_signature(self, signature):
+        # V + V^T has even size and odd determinant +-Delta(-1)
+        genus = max(3, abs(signature))
+        with pytest.raises(RecordError, match="^inconsistent knot record: odd signature$"):
+            record(alexander=P("2;-13;32;-41;32;-13;2"), signature=signature,
+                   genus3=genus, genus4=(0, genus))
+        record(alexander=P("2;-13;32;-41;32;-13;2"), signature=signature + 1,
+               genus3=genus, genus4=(0, genus))
 
     def test_signature_bound_is_exact_past_float_precision(self):
         # ceil((2**54 + 2) / 2) in floats is 2**53: the record would pass
@@ -183,12 +193,13 @@ class TestGcBounds:
         # validating the record and building its signature profile share
         # one set of determinants det(V - x V^T); validation interpolates
         # nothing and keeps the record's polynomial on its matrix, so no
-        # record's matrix is interpolated; a bare matrix is, once
+        # record's matrix is interpolated; a bare matrix is, once.  The
+        # kernels are patched in ``_matrix``, where the matrix record calls them
         dets, interpolations = [], []
-        det, interpolate = seifert._det_int, seifert._interpolate_int
-        monkeypatch.setattr(seifert, "_det_int",
+        det, interpolate = _matrix._det_int, _matrix._interpolate_int
+        monkeypatch.setattr(_matrix, "_det_int",
                             lambda rows: dets.append(1) or det(rows))
-        monkeypatch.setattr(seifert, "_interpolate_int",
+        monkeypatch.setattr(_matrix, "_interpolate_int",
                             lambda points: interpolations.append(1) or interpolate(points))
         text = resources.files("kcg").joinpath("data", "knots_small.csv").read_text("utf-8")
         records = [r for r in parse_table(text).records if r.seifert is not None]

@@ -255,19 +255,23 @@ class TestColdStart:
 
     # each command loads only the layers it runs: factor no table or
     # Seifert code, invariants no table code, and bound on a table without
-    # matrices no Seifert code; census and match read the matrices of the
-    # candidate table, whose check interpolates nothing, and profile none
-    # of them, so they load no fractions
+    # matrices no Seifert code; census and match check the matrices of the
+    # candidate table, which interpolates nothing, and profile none of
+    # them, so they load the matrix record but neither the signature code
+    # nor fractions; a census of a table with matrices profiles them
     @pytest.mark.parametrize("argv, layers", [
         (["factor", "--poly", "1;-1;1"], set()),
-        (["invariants", "--seifert=-1,1;0,-1"], {"kcg.seifert", "fractions"}),
+        (["invariants", "--seifert=-1,1;0,-1"], {"kcg._matrix", "kcg.seifert", "fractions"}),
         (["bound", "--name", "11a_6", "--table", UNKNOWN_CSV],
          {"kcg.bounds", "kcg.foxmilnor", "kcg.tabledata", "csv"}),
         (["census", "--table", UNKNOWN_CSV, "--candidates", SMALL_CSV],
-         {"kcg.bounds", "kcg.foxmilnor", "kcg.tabledata", "kcg.seifert", "csv"}),
+         {"kcg.bounds", "kcg.foxmilnor", "kcg.tabledata", "kcg._matrix", "csv"}),
         (["match", "--name", "11n_152", "--table", UNKNOWN_CSV, "--candidates", SMALL_CSV],
-         {"kcg.bounds", "kcg.foxmilnor", "kcg.tabledata", "kcg.seifert", "csv"}),
-    ], ids=["factor", "invariants", "bound", "census", "match"])
+         {"kcg.bounds", "kcg.foxmilnor", "kcg.tabledata", "kcg._matrix", "csv"}),
+        (["census", "--table", SMALL_CSV],
+         {"kcg.bounds", "kcg.foxmilnor", "kcg.tabledata", "kcg._matrix", "kcg.seifert",
+          "fractions", "csv"}),
+    ], ids=["factor", "invariants", "bound", "census", "match", "census-profiles"])
     def test_command_loads_only_its_layers(self, argv, layers):
         status, out, _, loaded = _run_fresh(argv)
         assert status == 0 and out
@@ -318,6 +322,21 @@ class TestCensusCommand:
         text = report.read_text(encoding="utf-8")
         assert text.startswith("name\tgc_lower\tgc_upper\tcategory")
         assert len(text.strip().split("\n")) == 30
+
+    @pytest.mark.parametrize("filename", ["knots_small.csv", "slice_11.csv",
+                                          "concordant_11.csv", "unknown_11.csv"])
+    def test_byte_order_mark_gives_the_plain_tables_census(self, filename, tmp_path, capsys):
+        plain = PACKAGE / "data" / filename
+        marked = tmp_path / filename
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for i, table in enumerate((plain, marked)):
+            report = tmp_path / f"r{i}.tsv"
+            assert main(["census", "--table", str(table), "--report", str(report)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append((captured.out, report.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_census_byte_deterministic(self, unknown_csv, reference_csv,
                                        tmp_path, capsys):

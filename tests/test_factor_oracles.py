@@ -347,7 +347,9 @@ def test_factorer_matches_factor_on_seeded_products(seed):
     # 2 - t vanishes at 2, and 1 - 2t is its reciprocal
     [[(2, 1, 3), PAIR[1]], [(2, 1, 3), (2, 1, 3), PAIR[0]], [PAIR[0], PAIR[1], GOLDEN]],
     [[(1, 1, 0, 1), (1, -1)], [(1, 1, 0, 1), (1, 1, 0, 1), (7, 0, -1)]],
-], ids=["repeated", "cyclotomic", "non-palindromic", "root-at-one"])
+    # 3 - t and 2 - t vanish at 3 and 2, so a quotient's value there is evaluated
+    [[(3, -1), (2, -1)], [(3, -1)] * 3 + [(2, -1)] * 2 + [GOLDEN], [(1, -3), (3, -1), PHI6]],
+], ids=["repeated", "cyclotomic", "non-palindromic", "root-at-one", "roots-at-2-and-3"])
 @pytest.mark.parametrize("content", [1, 12])
 def test_factorer_matches_factor_on_known_shapes(batch, content):
     polys = [poly(factors, content) for factors in batch]
@@ -391,6 +393,37 @@ def test_factorer_refuses_past_the_degree_cap_whatever_it_knows(known, factors):
     for run in (factor, factored):
         with pytest.raises(PolynomialError, match="^degree limit exceeded$"):
             run(poly(factors))
+
+
+# raw coefficient lists into shapes: as drawn (mostly not palindromic),
+# palindromic of even and of odd degree (the latter vanishes at -1), and
+# palindromic times (t - 1)^2 or (t + 1)^2, vanishing at 1 or -1
+CAP_SHAPES = {
+    "raw": lambda c: c,
+    "even-palindrome": lambda c: c + c[-2::-1],
+    "odd-palindrome": lambda c: c + c[::-1],
+    "root-at-one": lambda c: conv_mul(c + c[-2::-1], [1, -2, 1]),
+    "root-at-minus-one": lambda c: conv_mul(c + c[-2::-1], [1, 2, 1]),
+}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=6).filter(any),
+       st.sampled_from(sorted(CAP_SHAPES)))
+def test_factorer_caps_the_degree_of_the_trace_polynomial(coeffs, shape):
+    """The factorer refuses exactly past the cap on the degree of the trace
+    polynomial ``_intpoly.to_trace`` builds, or of the input without one."""
+    p = LaurentPoly(canon(CAP_SHAPES[shape](coeffs)))
+    h = list(p.coeffs)
+    trace = _intpoly.to_trace(h)
+    assert _intpoly.has_trace(h) == (trace is not None)
+    capped = _intpoly.degree(h if trace is None else trace)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_intpoly, "FACTOR_DEGREE_CAP", capped - 1)
+        with pytest.raises(PolynomialError, match="^degree limit exceeded$"):
+            laurent.factorer()(p)
+        patch.setattr(_intpoly, "FACTOR_DEGREE_CAP", capped)
+        assert laurent.factorer()(p) == factor(p)
 
 
 def test_factorer_keeps_a_palindromic_cofactor_palindromic():

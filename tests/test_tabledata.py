@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import itertools
 import os
 import random
@@ -11,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kcg
-from kcg import laurent
+from bench import gen
+from kcg import laurent, tabledata
 from kcg.bounds import (CATEGORIES, CATEGORY_UNKNOWN, FIELD_LIMIT, SLICE_STATUSES,
                         KnotRecord)
 from kcg.errors import KcgError, PolynomialError, RecordError, TableError
@@ -157,6 +159,27 @@ class TestParse:
         with pytest.raises(TableError, match="^bad schema$"):
             parse_table(header + "\n3_1,3,1;-1;1,-2,1,1,1,not_slice,,\n")
 
+    def test_odd_signature_is_rejected(self):
+        # V + V^T has even size and odd determinant +-Delta(-1), so a knot's
+        # signature is even; 11a_6 with signature 3 would be credited
+        # signature=2 from ceil(3/2)
+        row = "11a_6,11,2;-13;32;-41;32;-13;2,{},3,1,2,not_slice,,"
+        t = table_of(row.format(3), row.format(2).replace("11a_6", "even"))
+        assert [r.name for r in t.records] == ["even"]
+        assert t.rejected == (RejectedRow(2, "inconsistent knot record: odd signature"),)
+
+    @pytest.mark.parametrize("row, reason", [
+        ("k,3,1;-1;1,-3,1,1,1,not_slice,,",
+         "inconsistent knot record: |signature|/2 exceeds the four-genus"),
+        ('"#k",3,1;-1;1,1,1,1,1,not_slice,,', "bad name: '#k'"),
+        ("k,3,1;-1;1,1,1,1,1,maybe,,", "bad slice status: 'maybe'"),
+        ('k,4,1;-3;1,1,1,1,1,not_slice,"-1,1;0,-1",',
+         "inconsistent knot record: Seifert matrix does not match the polynomial"),
+    ], ids=["signature-bound", "name", "slice-status", "matrix"])
+    def test_odd_signature_keeps_an_earlier_reason(self, row, reason):
+        t = table_of(row, "3_1,3,1;-1;1,-2,1,1,1,not_slice,,")
+        assert t.rejected == (RejectedRow(2, reason),)
+
     def test_mismatched_matrix_rejected(self):
         t = table_of('bad,4,1;-3;1,0,1,1,1,not_slice,"-1,1;0,-1",',
                      "3_1,3,1;-1;1,-2,1,1,1,not_slice,,")
@@ -283,6 +306,74 @@ class TestParseFuzz:
             KnotRecord(**TREFOIL_FIELDS, name="k", concordant_to=parts)
         rec = KnotRecord(**TREFOIL_FIELDS, name="k", concordant_to=(parts[0], parts[1][1:]))
         assert parse_table(serialize(KnotTable((rec,)))).records == (rec,)
+
+
+# table rows, as field lists, from the bundled tables and two census552 tables
+ROW_POOL = tuple(fields for text in (*SERIALIZED, *(serialize(gen.census_input(seed).table)
+                                                   for seed in (0, 1)))
+                 for fields in csv.reader(text.splitlines()[1:]))
+SENTINEL = "sentinel,3,1;-1;1,-2,1,1,1,not_slice,,"
+
+
+def _mutated(fields, rng):
+    """``fields`` with one field changed: to a value some check refuses, to
+    another row's value, or padded with spaces, which the parser drops."""
+    fields = list(fields)
+    i = rng.choice((rng.randrange(len(fields)), 3))  # the signature, often
+    fields[i] = rng.choice((rng.choice(ROW_POOL)[i], f" {fields[i]} ", "x", "#x", "",
+                            "-1", "3", "1;2", "-1,1;0,-1", "maybe"))
+    return fields if rng.random() < 0.9 else fields[:-1]
+
+
+def _line(fields):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(fields)
+    return buf.getvalue()
+
+
+class TestRowTails:
+    """``parse_table`` parses each distinct row tail (every field but the
+    name) once per call; each row still gets the record, or the reason,
+    that it gets in a table of its own."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rows_parse_as_they_do_alone(self, seed):
+        rng = random.Random(f"row-tails-{seed}")
+        rows = []
+        for _ in range(80):
+            fields = list(rng.choice(rows or ROW_POOL) if rng.random() < 0.4
+                          else rng.choice(ROW_POOL))
+            if rng.random() < 0.3:  # the same tail under another name
+                fields[0] = f"{fields[0]}_{rng.randrange(3)}"
+            rows.append(_mutated(fields, rng) if rng.random() < 0.4 else fields)
+        lines = [_line(fields) for fields in rows]
+        want_records, want_rejected, names = [], [], set()
+        for lineno, line in enumerate(lines, 2):
+            # the row on its own, on the same line number, before a good row
+            alone = parse_table(HEADER + "\n" * (lineno - 1) + line + "\n" + SENTINEL)
+            if len(alone.records) + len(alone.rejected) == 1:  # a comment line
+                continue
+            if alone.rejected:
+                want_rejected.append((lineno, alone.rejected[0].reason))
+            elif alone.records[0].name in names:
+                want_rejected.append((lineno, f"duplicate name {alone.records[0].name}"))
+            else:
+                names.add(alone.records[0].name)
+                want_records.append(alone.records[0])
+        table = parse_table("\n".join((HEADER, *lines)) + "\n")
+        assert table.records == tuple(want_records)
+        assert [(bad.line, bad.reason) for bad in table.rejected] == want_rejected
+        assert len(want_records) > 20 and len(want_rejected) > 5
+
+    def test_each_distinct_tail_is_parsed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tabledata, "poly_from_text",
+                            lambda text: calls.append(text) or poly_from_text(text))
+        text = serialize(gen.census_input(0).table)
+        rows = list(csv.reader(text.splitlines()[1:]))
+        table = parse_table(text)
+        assert len(table.records) == len(rows) == 552
+        assert len(calls) == len({tuple(fields[1:]) for fields in rows}) < 200
 
 
 class TestSerialize:

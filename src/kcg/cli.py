@@ -7,11 +7,14 @@ record, unknown knot) or stdout closed early, 2 usage error.  Each
 command imports the layers it runs, so ``kcg factor`` loads no table or
 Seifert code.  A well-formed command line is parsed from ``_COMMANDS``
 without argparse; argparse, built from the same table, parses any other
-and prints help and usage errors.
+and prints help and usage errors.  :func:`run` is the process entry
+point of ``python -m kcg`` and of the ``kcg`` script; :func:`main` has
+no process-level effect, so it can be called in-process.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -22,6 +25,7 @@ from .laurent import factor, poly_from_text
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
+    from typing import NoReturn
 
     from .tabledata import KnotTable
 
@@ -214,3 +218,22 @@ def main(argv=None) -> int:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         print("kcg: cannot write output: stdout is closed", file=sys.stderr)
         return 1
+
+
+def run() -> NoReturn:
+    """Run :func:`main` on ``sys.argv`` and exit the process with its status.
+
+    Once ``main`` has returned, ``gc.freeze()`` moves every live object
+    into the permanent generation, which the interpreter's exit-time
+    collections skip.  Those collections would otherwise walk kcg's
+    modules, classes and records and every module ``site`` loaded, only
+    to free cycles the OS reclaims anyway: measured at 5-6 ms of a
+    50-85 ms ``kcg`` command (Python 3.11.7, shared 2-vCPU VM).
+    ``os._exit`` would save 1-3 ms more but skips atexit handlers and the
+    final flush of stdout and stderr, which still run here.  An exception
+    or ``SystemExit`` out of ``main`` (help, usage errors) propagates
+    unchanged, without the freeze.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)

@@ -47,9 +47,14 @@ def residual(fac: Factorization) -> Factorization:
     has a different multiplicity means the input was not palindromic.
     """
     mult = dict(fac.factors)
-    if any(mult.get(reciprocal(q)) != m for q, m in fac.factors):
-        raise PolynomialError("polynomial not palindromic")
-    return Factorization(tuple((q, 1) for q, m in fac.factors if m % 2 and is_symmetric(q)))
+    kept = []
+    for q, m in fac.factors:
+        partner = reciprocal(q)
+        if mult.get(partner) != m:
+            raise PolynomialError("polynomial not palindromic")
+        if m % 2 and partner == q:
+            kept.append((q, 1))
+    return Factorization(tuple(kept))
 
 
 def slice_obstruction(delta: LaurentPoly) -> bool:

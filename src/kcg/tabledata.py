@@ -115,7 +115,8 @@ def _parse_row(fields, tails: dict) -> KnotRecord:
 def parse_table(text, source_path: str = "<stream>") -> KnotTable:
     """Parse a knot table; :class:`KnotRecord` validates each row.
 
-    Accepts a string or a readable stream.  Each row is one line: lines end
+    Accepts a string or a readable stream; one leading byte-order mark
+    (U+FEFF) is skipped.  Each row is one line: lines end
     at LF, CRs just before it are dropped, and :func:`_split` rejects any
     other CR.  A malformed header is fatal ("bad schema"); bad rows are
     collected on ``KnotTable.rejected`` with line numbers, and the parse
@@ -126,6 +127,7 @@ def parse_table(text, source_path: str = "<stream>") -> KnotTable:
     """
     if hasattr(text, "read"):
         text = text.read()
+    text = text.removeprefix("\ufeff")
     lines = [(lineno, line) for lineno, raw in enumerate(text.split("\n"), 1)
              if (line := raw.rstrip("\r")).strip() and not line.lstrip().startswith("#")]
     try:
@@ -156,10 +158,10 @@ def parse_table(text, source_path: str = "<stream>") -> KnotTable:
 
 
 def read_table(path: str) -> KnotTable:
-    """:func:`parse_table` of the UTF-8 file at ``path`` (a leading byte-order
-    mark skipped, line endings untouched); an unreadable file is a TableError."""
+    """:func:`parse_table` of the UTF-8 file at ``path`` (line endings
+    untouched); an unreadable file is a TableError."""
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             return parse_table(fh.read(), source_path=path)
     except OSError as exc:
         raise TableError(f"cannot read table {path}: {exc.strerror}") from exc

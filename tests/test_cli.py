@@ -1,5 +1,6 @@
 """Command-line interface behavior and output determinism."""
 
+import gc
 import io
 import os
 import re
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kcg
+from kcg import cli
 from kcg.bounds import CATEGORIES
 from kcg.cli import _COMMANDS, _build_parser, _parse_direct, main
 from kcg.tabledata import (SCHEMA, census, concordant_fixture, parse_table,
@@ -498,11 +500,6 @@ class TestUsageErrors:
             main([])
         assert err.value.code == 2
 
-    def test_module_entry_point(self):
-        proc = _run_module(["factor", "--poly", "1;-1;1"])
-        assert proc.returncode == 0
-        assert proc.stdout == "(1;-1;1)^1\n"
-
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     def test_closed_stdout_is_one_line(self, unbuffered):
         # the write fails in print when stdout is unbuffered, else in the
@@ -541,6 +538,99 @@ class TestUsageErrors:
         else:
             assert proc.returncode == 2
             assert proc.stderr.startswith("usage: kcg ")
+
+
+# one command line per exit code: a factorization, an unknown knot (a
+# domain error) and a missing required option (a usage error)
+_EXIT_ARGVS = {0: ["factor", "--poly", "1;-1;1"],
+               1: ["bound", "--name", "nosuch", "--table", SMALL_CSV],
+               2: ["factor"]}
+
+# what the console-script wrapper that pip installs for ``kcg`` runs
+_CONSOLE_SCRIPT = """\
+import re
+import sys
+from {module} import {func}
+if __name__ == "__main__":
+    sys.argv[0] = re.sub(r"(-script\\.pyw|\\.exe)?$", "", sys.argv[0])
+    sys.exit({func}())
+"""
+
+
+def _main_status(argv):
+    """What ``main(argv)`` returns, or the code of the SystemExit it raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _console_script_entry():
+    """(module, function) that ``[project.scripts]`` names for ``kcg``."""
+    text = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
+    return re.search(r'^kcg = "([\w.]+):(\w+)"$', text, re.M).groups()
+
+
+class TestProcessEntryPoint:
+    """``python -m kcg`` and the ``kcg`` script run ``kcg.cli.run``, which
+    freezes the heap once ``main`` has returned, then exits."""
+
+    @pytest.mark.parametrize("status", sorted(_EXIT_ARGVS))
+    @pytest.mark.parametrize("how", ["module", "console-script"])
+    def test_process_gives_mains_output_and_status(self, how, status, capsys):
+        argv = _EXIT_ARGVS[status]
+        assert _main_status(argv) == status
+        want = (status, *capsys.readouterr())
+        if how == "module":
+            proc = _run_module(argv)
+        else:
+            module, func = _console_script_entry()
+            proc = subprocess.run(
+                [sys.executable, "-c", _CONSOLE_SCRIPT.format(module=module, func=func), *argv],
+                env=_env(), capture_output=True, text=True, timeout=120, check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+    def test_console_script_is_the_entry_point(self):
+        assert _console_script_entry() == ("kcg.cli", "run")
+
+    def test_freeze_follows_a_normal_return(self, monkeypatch):
+        events = []
+        monkeypatch.setattr(cli, "main", lambda: events.append("main") or 1)
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 1
+        assert events == ["main", "freeze"]
+
+    @pytest.mark.parametrize("error", [SystemExit(2), KeyboardInterrupt()],
+                             ids=["usage", "interrupt"])
+    def test_no_freeze_when_main_raises(self, error, monkeypatch):
+        def failing():
+            raise error
+
+        frozen = []
+        monkeypatch.setattr(cli, "main", failing)
+        monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+        with pytest.raises(type(error)) as exc:
+            cli.run()
+        assert exc.value is error
+        assert frozen == []
+
+    def test_main_leaves_the_freeze_count_unchanged(self, capsys):
+        before = gc.get_freeze_count()
+        for status, argv in _EXIT_ARGVS.items():
+            assert _main_status(argv) == status
+        assert gc.get_freeze_count() == before
+
+    def test_atexit_handlers_run_after_the_freeze(self):
+        code = ("import atexit, gc, runpy, sys\n"
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0,"
+                " file=sys.stderr))\n"
+                "sys.argv[1:] = ['factor', '--poly', '1;-1;1']\n"
+                "runpy.run_module('kcg', run_name='__main__', alter_sys=True)\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
+                              text=True, timeout=120, check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(1;-1;1)^1\n", "frozen True\n")
 
 
 # an argv grammar: subcommands exact, abbreviated, unknown or -h; options of

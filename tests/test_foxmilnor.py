@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from kcg import foxmilnor, laurent
 from kcg.errors import PolynomialError, ProfileError
 from kcg.foxmilnor import (RequiredFactors, enhanced_required_factors,
                            gc_poly_lower_bound, residual, slice_obstruction)
@@ -56,6 +57,21 @@ class TestResidual:
         fac = factor(mul(P("2;-5;2"), P("2;-1")))  # (2-t)^2 (1-2t)
         with pytest.raises(PolynomialError, match="polynomial not palindromic"):
             residual(fac)
+
+    def test_one_reciprocal_per_factor(self, monkeypatch):
+        # symmetric factors of odd and even multiplicity and a reciprocal pair
+        fac = factor(mul(mul(mul(P("1;-1;1"), P("1;-1;1")), P("1;-3;1")), P("2;-5;2")))
+        assert len(fac.factors) == 4
+        calls = []
+
+        def counted(q):
+            calls.append(q)
+            return reciprocal(q)
+
+        monkeypatch.setattr(foxmilnor, "reciprocal", counted)
+        monkeypatch.setattr(laurent, "reciprocal", counted)
+        assert residual(fac).expand() == P("1;-3;1")
+        assert calls == [q for q, _ in fac.factors]
 
 
 class TestMultisets:

@@ -207,6 +207,17 @@ class TestParse:
         assert len(t.records) == 1
         assert t.source_path == "mem"
 
+    @pytest.mark.parametrize("filename", BUNDLED)
+    def test_leading_byte_order_mark_is_skipped(self, filename):
+        with open(os.path.join(DATA, filename), encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        plain = parse_table(text)
+        for marked in (parse_table("\ufeff" + text), parse_table(io.StringIO("\ufeff" + text))):
+            assert marked.records == plain.records
+            assert marked.rejected == plain.rejected
+        with pytest.raises(TableError, match="^bad schema$"):
+            parse_table("\ufeff\ufeff" + text)
+
 
 class TestReadTable:
     @pytest.mark.parametrize("filename", BUNDLED)

@@ -1,6 +1,6 @@
 """The Seifert matrix record, apart from the signature code of :mod:`kcg.seifert`,
-which re-exports it, so that a table row's matrix is checked without that code.
-Its knot polynomial comes from determinants at nodes the matrix keeps."""
+which re-exports the record alone, so that a table row's matrix is checked without
+that code.  Its knot polynomial comes from determinants at nodes the matrix keeps."""
 
 from __future__ import annotations
 

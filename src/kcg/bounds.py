@@ -11,7 +11,7 @@ from __future__ import annotations
 from . import foxmilnor, laurent
 from ._record import Record
 from .errors import RecordError
-from .laurent import Factorization, LaurentPoly
+from .laurent import LaurentPoly
 
 # ``seifert`` is imported only where a record's matrix is profiled, so a
 # table whose matrices are only checked never loads it
@@ -103,14 +103,20 @@ class KnotRecord(Record):
                 "inconsistent knot record: Seifert matrix does not match the polynomial")
         if self.signature % 2:
             raise RecordError("inconsistent knot record: odd signature")
+        if self.slice_status == SLICE and (self.signature or lo):
+            raise RecordError(
+                "inconsistent knot record: slice with nonzero signature or four-genus")
+        if self.slice_status == NOT_SLICE and hi == 0:
+            raise RecordError("inconsistent knot record: not slice with four-genus 0")
 
 
 class GcBounds(Record):
     """Concordance-genus interval with contributor provenance.
 
-    ``contributors`` lists every bound source that achieved the lower
-    bound, in the fixed order genus4, signature, polynomial; ``status``
-    is derived: determined exactly when lower equals upper.
+    ``contributors`` lists the lower-bound rows (source, value) that reach
+    the lower bound, in row order: genus4, signature, polynomial or
+    polynomial+jump; or slice alone.  ``status`` is derived: determined
+    exactly when lower equals upper.
     """
 
     lower: int
@@ -126,26 +132,21 @@ class GcBounds(Record):
         return ",".join(f"{src}={val}" for src, val in self.contributors)
 
 
-def combine(genus4_lo: int, signature: int, poly_bound: int, genus3: int,
-            jump_enhanced: bool = False) -> GcBounds:
-    """Merge genus4_lo, signature_bound(signature) and poly_bound into an interval.
-
-    This is the pure combiner: it trusts the numbers it is handed, so it
-    can replay tabulated bound columns as well as freshly computed ones.
-    """
-    sig_bound = signature_bound(signature)
-    lower = max(genus4_lo, sig_bound, poly_bound)
-    if lower > genus3:
+def _reduce(rows: tuple[tuple[str, int], ...], upper: int) -> GcBounds:
+    """The interval of the (source, value) lower-bound rows under ``upper``:
+    the largest value, with the rows that reach it as contributors."""
+    lower = max(value for _, value in rows)
+    if lower > upper:
         raise RecordError("inconsistent knot record: lower bound exceeds the genus")
-    contributors: list[tuple[str, int]] = []
-    if genus4_lo == lower:
-        contributors.append(("genus4", genus4_lo))
-    if sig_bound == lower:
-        contributors.append(("signature", sig_bound))
-    if poly_bound == lower:
-        source = "polynomial+jump" if jump_enhanced else "polynomial"
-        contributors.append((source, poly_bound))
-    return GcBounds(lower, genus3, tuple(contributors))
+    return GcBounds(lower, upper, tuple(row for row in rows if row[1] == lower))
+
+
+def combine(genus4_lo: int, signature: int, poly_bound: int, genus3: int) -> GcBounds:
+    """The interval of the rows genus4_lo, signature_bound(signature) and
+    poly_bound (as polynomial) under genus3, reduced as :func:`analyze` does:
+    this pure combiner trusts its numbers, so it replays tabulated columns."""
+    return _reduce((("genus4", genus4_lo), ("signature", signature_bound(signature)),
+                    ("polynomial", poly_bound)), genus3)
 
 
 class Analysis(Record):
@@ -155,34 +156,37 @@ class Analysis(Record):
 
 
 def analyze(k: KnotRecord, factor, genus_of=None) -> Analysis:
-    """Interval and category of ``k``, computing the profile and residual
-    once.  A slice record is [0, 0] unfactored; any other polynomial goes
-    to ``factor``, e.g. ``laurent.factor`` or a shared ``laurent.factorer()``."""
+    """Interval and category of ``k``, both read from one tuple of the
+    lower-bound rows :class:`GcBounds` names, computing the profile and
+    residual once.  A slice record is (slice, 0) under 0 unfactored; any
+    other polynomial goes to ``factor``, e.g. ``laurent.factor`` or a shared
+    ``laurent.factorer()``, and a matrix must have the record's signature."""
     if k.slice_status == SLICE:
-        return Analysis(None, GcBounds(0, 0, (("slice", 0),)), CATEGORY_SLICE)
-    fac = factor(k.alexander)
-    profile = None
-    if k.seifert is not None:
-        from . import seifert
+        req, rows, upper = None, ((SLICE, 0),), 0
+    else:
+        profile = None
+        if k.seifert is not None:
+            from . import seifert
 
-        profile = seifert.signature_profile(k.seifert)
-    req = foxmilnor.enhanced_required_factors(fac, profile)
-    bounds = combine(k.genus4[0], k.signature, foxmilnor.gc_poly_lower_bound(req),
-                     k.genus3, jump_enhanced=req.enhanced != req.residual)
-    return Analysis(req, bounds, _polynomial_category(k, fac, req.residual)
-                    or _interval_category(k, bounds, genus_of))
-
-
-def _polynomial_category(k: KnotRecord, fac, residual: Factorization) -> str | None:
-    if k.alexander.degree // 2 == k.genus3:
-        if fac.irreducible:
-            return CATEGORY_IRREDUCIBLE_POLY
-        if sum(m for _, m in fac.factors) >= 2 and residual == fac:
-            return CATEGORY_NO_SYMMETRIC_PAIR
-    return None
+            profile = seifert.signature_profile(k.seifert)
+            if profile.endpoint_value_at_pi != k.signature:
+                raise RecordError("inconsistent knot record: matrix does not match the signature")
+        req = foxmilnor.enhanced_required_factors(factor(k.alexander), profile)
+        source = "polynomial" if req.enhanced == req.residual else "polynomial+jump"
+        rows, upper = (("genus4", k.genus4[0]), ("signature", signature_bound(k.signature)),
+                       (source, foxmilnor.gc_poly_lower_bound(req))), k.genus3
+    bounds = _reduce(rows, upper)
+    return Analysis(req, bounds, _category(k, req, rows, bounds, genus_of))
 
 
-def _interval_category(k: KnotRecord, bounds: GcBounds, genus_of) -> str:
+def _category(k: KnotRecord, req, rows, bounds: GcBounds, genus_of) -> str:
+    """The first census rule the rows meet.  The residual divides Delta, of
+    degree at most 2 genus3, and a jump enhances only even powers, so a plain
+    polynomial row reaches a positive genus3 exactly when it is all of Delta."""
+    if rows[0][0] == SLICE:
+        return CATEGORY_SLICE
+    if k.genus3 and ("polynomial", k.genus3) in rows:
+        return CATEGORY_IRREDUCIBLE_POLY if req.residual.irreducible else CATEGORY_NO_SYMMETRIC_PAIR
     if bounds.status == DETERMINED:
         return CATEGORY_SIGNATURE_OR_G4
     known = genus_of is not None and all(n in genus_of for n in k.concordant_to)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import PolynomialError, ProfileError
-from .laurent import Factorization, LaurentPoly, factor, is_symmetric, reciprocal
+from .laurent import Factorization, LaurentPoly, factor, reciprocal
 
 # ``seifert`` is imported only where a profile is given
 TYPE_CHECKING = False
@@ -85,8 +85,7 @@ def enhanced_required_factors(fac: Factorization,
     if any(jump and not any(o[i] for o in owns.values())
            for i, jump in enumerate(jumps)):
         raise ProfileError("inconsistent profile")
-    forced = tuple((q, 2) for q, m in fac.factors
-                   if m and m % 2 == 0 and is_symmetric(q)
+    forced = tuple((q, 2) for q, m in fac.factors if m % 2 == 0
                    and any(abs(jump) >= 2 and owns[q][i] for i, jump in enumerate(jumps)))
     return RequiredFactors(res, res * Factorization(forced) if forced else res)
 

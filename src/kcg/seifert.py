@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 from . import _intpoly
-from ._matrix import SeifertMatrix, _det_int, _interpolate_int
+from ._matrix import SeifertMatrix
 from ._record import Record
 from .errors import PolynomialError, ProfileError
 from .laurent import LaurentPoly

@@ -16,6 +16,7 @@ from kcg.errors import RecordError
 from kcg.laurent import mul, poly_from_text
 from kcg.seifert import SeifertMatrix
 from kcg.tabledata import parse_table, reference_table
+from oracles import block_sum, mirror, torus_seifert
 
 
 def P(text):
@@ -93,6 +94,20 @@ class TestKnotRecordValidation:
         with pytest.raises(RecordError, match=r"^bad name: '3_1\+4_1'$"):
             record(name="3_1+4_1", concordant_to=("3_1+4_1",))
 
+    # a slice knot has signature 0 and four-genus 0; a four-genus of 0 is slice
+    @pytest.mark.parametrize("fields, reason", [
+        (dict(slice_status="slice", signature=-2, genus4=(0, 1)),
+         "slice with nonzero signature or four-genus"),
+        (dict(slice_status="slice", signature=0, genus4=(1, 1)),
+         "slice with nonzero signature or four-genus"),
+        (dict(slice_status="not_slice", signature=0, genus4=(0, 0)),
+         "not slice with four-genus 0"),
+    ], ids=["slice-signature", "slice-genus4", "not-slice-genus4-zero"])
+    def test_contradictory_slice_status(self, fields, reason):
+        with pytest.raises(RecordError, match=f"^inconsistent knot record: {reason}$"):
+            record(**fields)
+        record(**{**fields, "slice_status": "unknown"})
+
     def test_seifert_must_match(self):
         trefoil = SeifertMatrix(((-1, 1), (0, -1)))
         record(seifert=trefoil)  # matches 1-t+t^2
@@ -128,8 +143,17 @@ class TestCombine:
                                   ("polynomial", 2))
 
     def test_jump_label(self):
-        b = combine(1, 0, 2, 3, jump_enhanced=True)
-        assert b.contributors == (("polynomial+jump", 2),)
+        # T(2,3) # T(2,3) # -T(2,5): the residual Phi_10 gives 2, and the
+        # signature function (0, -2, 2, 0) jumps by 4 at pi/3, a root of the
+        # discarded (1-t+t^2)^2, which comes back in: the jump alone decides
+        v = block_sum(torus_seifert(2, 3), torus_seifert(2, 3), mirror(torus_seifert(2, 5)))
+        assert seifert.signature_profile(v).values == (0, -2, 2, 0)
+        fields = dict(alexander=P("1;-3;6;-8;9;-8;6;-3;1"), signature=0, genus3=4,
+                      genus4=(1, 4), slice_status="unknown")
+        assert gc_bounds(record(**fields, seifert=v)) == GcBounds(
+            4, 4, (("polynomial+jump", 4),))
+        # without the matrix the residual's bound stands
+        assert gc_bounds(record(**fields)) == GcBounds(2, 4, (("polynomial", 2),))
 
     def test_signature_rounds_up(self):
         b = combine(0, -3, 0, 2)
@@ -176,6 +200,17 @@ class TestGcBounds:
         b = gc_bounds(rec)
         assert (b.lower, b.upper, b.status) == (2, 2, DETERMINED)
         assert ("polynomial+jump", 2) in b.contributors
+
+    @pytest.mark.parametrize("signature", [0, 2])
+    def test_matrix_signature_must_match(self, signature):
+        # the trefoil matrix has Murasugi signature -2, which its profile ends on
+        trefoil = SeifertMatrix(((-1, 1), (0, -1)))
+        assert gc_bounds(record(seifert=trefoil)) == GcBounds(1, 1, (
+            ("genus4", 1), ("signature", 1), ("polynomial", 1)))
+        rec = record(signature=signature, seifert=trefoil)
+        with pytest.raises(RecordError, match="^inconsistent knot record: "
+                                              "matrix does not match the signature$"):
+            gc_bounds(rec)
 
     def test_without_matrix_no_jump_enhancement(self):
         rec = record(name="granny-flat", alexander=P("1;-2;3;-2;1"),

@@ -11,7 +11,7 @@ import pytest
 
 from bench import gen
 from kcg import _intpoly, bounds, foxmilnor, laurent, tabledata
-from kcg.bounds import KnotRecord
+from kcg.bounds import KnotRecord, gc_bounds
 from kcg.laurent import Factorization, factor, poly_from_text
 from kcg.tabledata import (KnotTable, _load_bundled, census, concordant_fixture,
                            match_candidates, parse_table, reference_table,
@@ -39,6 +39,24 @@ def test_synthetic_552_census_counts_and_runtime():
         "concordant_lower_genus": 29,
         "unknown": 19,
     }
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_census_categories_are_the_generators(seed):
+    inp = gen.census_input(seed)
+    assert {row.name: row.category for row in census(inp.table).rows} == inp.category_of
+
+
+@pytest.mark.parametrize("source", ["knots_small.csv", "slice_11.csv", "concordant_11.csv",
+                                    "unknown_11.csv", 0, 1, 2, 3])
+def test_gc_bounds_is_the_census_interval(source):
+    # gc_bounds factors each row alone with laurent.factor; the census
+    # shares one factorer across the table and analyzes each distinct row
+    # once.  An int source is a census552 seed
+    table = (_load_bundled(source) if isinstance(source, str)
+             else gen.census_input(source).table)
+    assert [(row.name, row.bounds) for row in census(table).rows] == [
+        (rec.name, gc_bounds(rec)) for rec in table.records]
 
 
 def test_synthetic_552_survives_serialization():

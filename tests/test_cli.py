@@ -281,6 +281,24 @@ class TestColdStart:
         # a well-formed command line is parsed without argparse
         assert not loaded & {"argparse", "gettext", "locale"}
 
+    # what each command compiles: the source lines of every kcg module it
+    # loads, counted whole, so a change to the length of a loaded module,
+    # or to the set of modules, moves the pin
+    @pytest.mark.parametrize("argv, lines", [
+        (["factor", "--poly", "1;-1;1"], 1280),
+        (["invariants", "--seifert=-1,1;0,-1"], 1694),
+        (["bound", "--name", "11a_6", "--table", UNKNOWN_CSV], 1974),
+        (["census", "--table", UNKNOWN_CSV, "--candidates", SMALL_CSV], 2103),
+        (["match", "--name", "11n_152", "--table", UNKNOWN_CSV, "--candidates", SMALL_CSV],
+         2103),
+    ], ids=["factor", "invariants", "bound", "census", "match"])
+    def test_command_compiles_pinned_source_lines(self, argv, lines):
+        status, out, _, loaded = _run_fresh(argv)
+        assert status == 0 and out
+        files = [PACKAGE.joinpath(*m.split(".")[1:] or ["__init__"]).with_suffix(".py")
+                 for m in loaded if m.partition(".")[0] == "kcg"]
+        assert sum(len(f.read_text(encoding="utf-8").splitlines()) for f in files) == lines
+
     @pytest.mark.parametrize("argv, status", [
         (["-h"], 0),
         (["census", "-h"], 0),
@@ -310,6 +328,17 @@ class TestBoundCommand:
     def test_missing_file(self, capsys):
         assert main(["bound", "--name", "x", "--table", "/nope.csv"]) == 1
         assert "cannot read table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bound", "census"])
+    def test_matrix_signature_mismatch_is_one_line(self, tmp_path, command, capsys):
+        # the trefoil matrix's Murasugi signature is -2, not the row's 0
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(SCHEMA) + '\n3_1,3,1;-1;1,0,1,1,1,not_slice,"-1,1;0,-1",\n',
+                        encoding="utf-8")
+        argv = [command, "--table", str(path)] + (["--name", "3_1"] if command == "bound" else [])
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "kcg: inconsistent knot record: matrix does not match the signature\n")
 
 
 class TestCensusCommand:

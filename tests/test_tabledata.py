@@ -64,6 +64,16 @@ class TestParse:
         assert t.rejected[0].reason == "not a knot polynomial"
         assert t.rejected[0].line == 2
 
+    @pytest.mark.parametrize("row, reason", [
+        ("s,3,1;-1;1,-2,1,0,1,slice,,", "slice with nonzero signature or four-genus"),
+        ("s,3,1;-1;1,0,1,1,1,slice,,", "slice with nonzero signature or four-genus"),
+        ("s,3,1;-1;1,0,1,0,0,not_slice,,", "not slice with four-genus 0"),
+    ], ids=["slice-signature", "slice-genus4", "not-slice-genus4-zero"])
+    def test_contradictory_slice_status_rejected(self, row, reason):
+        t = table_of(row, "3_1,3,1;-1;1,-2,1,1,1,not_slice,,")
+        assert [r.name for r in t.records] == ["3_1"]
+        assert t.rejected == (RejectedRow(2, f"inconsistent knot record: {reason}"),)
+
     def test_duplicate_name_rejected(self):
         t = table_of("3_1,3,1;-1;1,-2,1,1,1,not_slice,,",
                      "3_1,3,1;-1;1,-2,1,1,1,not_slice,,")
